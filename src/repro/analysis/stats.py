@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from ..errors import ExperimentError
 
 __all__ = ["TrialStats", "trial_statistics"]
@@ -74,6 +72,10 @@ def trial_statistics(
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(variance)
     sem = std / math.sqrt(n)
+    # Imported here, not at module load: scipy costs about a second of
+    # import time and nothing else in the package needs it.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return TrialStats(
         mean=mean,

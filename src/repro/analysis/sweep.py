@@ -142,6 +142,14 @@ def _busyloop_ref(
     )
 
 
+def _factory_label(factory: FactoryLike) -> str:
+    """``name(k=v,...)`` for a ref; the callable's name otherwise."""
+    if isinstance(factory, FactoryRef):
+        params = ",".join(f"{name}={value}" for name, value in factory.kwargs)
+        return f"{factory.target.rpartition(':')[2]}({params})"
+    return getattr(factory, "__name__", type(factory).__name__)
+
+
 def _run_grid(
     spec: PlatformLike,
     points: Sequence[tuple],
@@ -149,7 +157,12 @@ def _run_grid(
     pin_uncore_max: bool,
     runner: Optional[SessionRunner],
 ) -> List[SessionSummary]:
-    """Execute (policy, workload) grid points as one runner batch."""
+    """Execute (policy, workload) grid points as one runner batch.
+
+    Each spec is labelled with its policy and workload parameters, so
+    heartbeats and metrics name the grid point; the label is not part
+    of the cache key.
+    """
     config = config if config is not None else SimulationConfig()
     batch = [
         SessionSpec(
@@ -158,6 +171,7 @@ def _run_grid(
             workload=workload,
             config=config,
             pin_uncore_max=pin_uncore_max,
+            label=f"{_factory_label(policy)} {_factory_label(workload)}",
         )
         for policy, workload in points
     ]

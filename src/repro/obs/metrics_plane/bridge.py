@@ -56,8 +56,6 @@ _STATS_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
      "Execution attempts re-scheduled after a failure."),
     ("timeouts", "repro_runner_timeouts_total",
      "Execution attempts terminated for exceeding the wall budget."),
-    ("unenforced_timeouts", "repro_runner_unenforced_timeouts_total",
-     "Batched specs whose wall budget the vectorized path cannot enforce."),
     ("corrupt_cache_entries", "repro_runner_corrupt_cache_entries_total",
      "On-disk entries that failed checksum or parsing and were quarantined."),
     ("failed_specs", "repro_runner_failed_specs_total",
@@ -270,8 +268,6 @@ def stats_rows(stats) -> List[Tuple[str, str]]:
         ("store hits", str(int(read("repro_runner_store_hits_total")))),
         ("retries", str(int(read("repro_runner_retries_total")))),
         ("timeouts", str(int(read("repro_runner_timeouts_total")))),
-        ("unenforced timeouts",
-         str(int(read("repro_runner_unenforced_timeouts_total")))),
         ("corrupt cache entries",
          str(int(read("repro_runner_corrupt_cache_entries_total")))),
         ("failed specs", str(int(read("repro_runner_failed_specs_total")))),

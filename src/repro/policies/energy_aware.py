@@ -13,7 +13,7 @@ simulator: each tick it
    per-domain operating points;
 3. costs every feasible candidate with the section-4.1 power model
    (:meth:`~repro.soc.power_model.CpuPowerModel.predict_cpu_mw`, one
-   evaluation per domain) and picks the cheapest;
+   evaluation per domain) and picks the cheapest per placement;
 4. applies hysteresis before changing the online mask, so the placement
    does not thrash between adjacent operating points.
 
@@ -23,6 +23,12 @@ reason to exist is the heterogeneous case: under a sustained spinning
 load it discovers that four little cores at a mid OPP beat "everything
 online at fmax" (the race-to-idle placement) by a wide margin, which is
 exactly the comparison the big.LITTLE end-to-end test pins down.
+
+Steps 2 and 3 depend on the demand only through one scalar, so the
+(placement, OPP combination) grid and every model coefficient are built
+once in ``__init__``; a tick is one numpy pass over that grid whose
+float operations are, entry by entry, those of a scalar walk of the
+grid in ``itertools.product`` order (``docs/NUMERICS.md``).
 """
 
 from __future__ import annotations
@@ -30,11 +36,13 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .base import CpuPolicy, PolicyDecision, SystemObservation
 from ..errors import ConfigError
 from ..soc.power_model import CpuPowerModel
 from ..soc.topology import ClusterSpec
-from ..units import clamp, require_fraction, require_positive
+from ..units import require_fraction, require_positive
 
 __all__ = ["EnergyAwarePolicy"]
 
@@ -89,34 +97,111 @@ class EnergyAwarePolicy(CpuPolicy):
         self.min_residency_ticks = min_residency_ticks
         self.burst_threshold_percent = burst_threshold_percent
         self.burst_boost = burst_boost
-        self._models = tuple(
-            CpuPowerModel(spec.power_params, spec.opp_table)
-            for spec in self.cluster_specs
+        self._cluster_ids: Tuple[int, ...] = tuple(
+            index
+            for index, spec in enumerate(self.cluster_specs)
+            for _ in range(spec.num_cores)
         )
-        # Per-domain OPP option tables, precomputed so the placement
-        # search costs arithmetic only: (capacity_ips, frequency_khz,
-        # dynamic_mw, static_mw, span_fraction) per operating point.
-        # The model terms come from the domain's own CpuPowerModel, so a
-        # candidate's cost is exactly predict_cpu_mw evaluated inline.
-        self._opp_options: Tuple[Tuple[Tuple[float, int, float, float, float], ...], ...]
-        self._opp_options = tuple(
-            tuple(
-                (
-                    spec.ipc_scale * 1000.0 * opp.frequency_khz,
-                    opp.frequency_khz,
-                    model.dynamic_power_mw(opp),
-                    model.static_power_mw(opp),
-                    spec.opp_table.span_fraction(opp.frequency_khz),
-                )
-                for opp in (
-                    spec.opp_table.by_index(i) for i in range(len(spec.opp_table))
-                )
-            )
-            for spec, model in zip(self.cluster_specs, self._models)
+        self._num_cores = len(self._cluster_ids)
+        self._ipc_of_core = tuple(
+            self.cluster_specs[index].ipc_scale for index in self._cluster_ids
         )
-        self._num_cores = sum(spec.num_cores for spec in self.cluster_specs)
+        # Global core ids per frequency domain, in id order.
+        self._members: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(core for core, index in enumerate(self._cluster_ids) if index == domain)
+            for domain in range(len(self.cluster_specs))
+        )
+        self._build_grid()
         self._counts: Optional[Tuple[int, ...]] = None
         self._ticks_since_switch = 0
+
+    def _build_grid(self) -> None:
+        """Precompute every (placement, OPP combination) the search prices.
+
+        Row *p* of each ``(placements, combos)`` array is placement
+        ``self._placements[p]``; its columns are that placement's OPP
+        combinations in ``itertools.product`` order over the active
+        domains, padded to the widest row.  A padded column has capacity
+        ``-inf``, so it is infeasible at every demand.  An inactive
+        domain gets exact ``0.0`` coefficients: adding its ``+0.0``
+        terms leaves a cost unchanged, bit for bit.
+        """
+        # Per domain and OPP: (capacity_ips, frequency_khz, dynamic_mw,
+        # static_mw, span_fraction) from the domain's own CpuPowerModel,
+        # so a candidate's cost is exactly predict_cpu_mw evaluated inline.
+        options = []
+        for spec in self.cluster_specs:
+            model = CpuPowerModel(spec.power_params, spec.opp_table)
+            table = spec.opp_table
+            options.append(
+                [
+                    (
+                        spec.ipc_scale * 1000.0 * opp.frequency_khz,
+                        opp.frequency_khz,
+                        model.dynamic_power_mw(opp),
+                        model.static_power_mw(opp),
+                        table.span_fraction(opp.frequency_khz),
+                    )
+                    for opp in (table.by_index(i) for i in range(len(table)))
+                ]
+            )
+        # The first domain owns the boot core, so its count never drops
+        # to zero; any other domain may power down entirely.
+        self._placements: Tuple[Tuple[int, ...], ...] = tuple(
+            itertools.product(
+                *(
+                    range(1 if index == 0 else 0, spec.num_cores + 1)
+                    for index, spec in enumerate(self.cluster_specs)
+                )
+            )
+        )
+        rows = []
+        for counts in self._placements:
+            active = [i for i, count in enumerate(counts) if count > 0]
+            rows.append(
+                (counts, active, list(itertools.product(*(options[i] for i in active))))
+            )
+        shape = (len(rows), max(len(combos) for _, _, combos in rows))
+        domains = len(self.cluster_specs)
+        capacity = np.full(shape, -np.inf)
+        count = np.zeros((domains,) + shape)
+        dynamic = np.zeros((domains,) + shape)
+        static = np.zeros((domains,) + shape)
+        overhead = np.zeros((domains,) + shape)
+        cache = np.zeros((domains,) + shape)
+        frequencies: List[List[Tuple[int, ...]]] = []
+        for p, (counts, active, combos) in enumerate(rows):
+            row_frequencies = []
+            for k, combo in enumerate(combos):
+                capacity[p, k] = sum(
+                    counts[domain] * option[0] for domain, option in zip(active, combo)
+                )
+                by_domain = dict(zip(active, combo))
+                row_frequencies.append(
+                    tuple(
+                        by_domain[i][1] if i in by_domain else 0 for i in range(domains)
+                    )
+                )
+                for domain, (_, _, dyn, stat, span) in by_domain.items():
+                    params = self.cluster_specs[domain].power_params
+                    count[domain, p, k] = counts[domain]
+                    dynamic[domain, p, k] = dyn
+                    static[domain, p, k] = stat
+                    if counts[domain] >= 2:
+                        overhead[domain, p, k] = (
+                            params.cluster_overhead_base_mw
+                            + params.cluster_overhead_span_mw * span
+                        )
+                    cache[domain, p, k] = params.cache_base_mw + params.cache_span_mw * span
+            frequencies.append(row_frequencies)
+        # An entry without positive capacity never carries any demand.
+        capacity[capacity <= 0.0] = -np.inf
+        self._capacity = capacity
+        self._terms = tuple(
+            (count[d], dynamic[d], static[d], overhead[d], cache[d])
+            for d in range(domains)
+        )
+        self._frequencies = frequencies
 
     @classmethod
     def for_platform_spec(cls, platform_spec, **kwargs) -> "EnergyAwarePolicy":
@@ -129,13 +214,6 @@ class EnergyAwarePolicy(CpuPolicy):
         self._ticks_since_switch = 0
 
     # -- demand measurement ----------------------------------------------
-
-    def _members(self, observation: SystemObservation) -> List[List[int]]:
-        """Global core ids per frequency domain, in id order."""
-        members: List[List[int]] = [[] for _ in self.cluster_specs]
-        for core_id in range(observation.num_cores):
-            members[observation.cluster_of(core_id)].append(core_id)
-        return members
 
     def _demand_ips(self, observation: SystemObservation) -> float:
         """Measured work in IPC-scaled instructions per second.
@@ -150,7 +228,7 @@ class EnergyAwarePolicy(CpuPolicy):
             if not observation.online_mask[core_id]:
                 continue
             load = observation.per_core_load_percent[core_id]
-            ipc = self.cluster_specs[observation.cluster_of(core_id)].ipc_scale
+            ipc = self._ipc_of_core[core_id]
             work += (load / 100.0) * observation.frequencies_khz[core_id] * 1000.0 * ipc
             if load >= self.burst_threshold_percent:
                 saturated = True
@@ -160,59 +238,33 @@ class EnergyAwarePolicy(CpuPolicy):
 
     # -- placement search --------------------------------------------------
 
-    def _candidate_counts(self) -> List[Tuple[int, ...]]:
-        """Every per-domain online-count vector the topology allows.
+    def candidates(
+        self, demand_ips: float
+    ) -> Dict[Tuple[int, ...], Tuple[float, Tuple[int, ...]]]:
+        """The cheapest feasible OPP vector of every feasible placement.
 
-        The first domain owns the boot core, so its count never drops to
-        zero; any other domain may power down entirely.
-        """
-        ranges = []
-        for index, spec in enumerate(self.cluster_specs):
-            low = 1 if index == 0 else 0
-            ranges.append(range(low, spec.num_cores + 1))
-        return [counts for counts in itertools.product(*ranges)]
-
-    def _best_point_for_counts(
-        self, counts: Tuple[int, ...], demand_ips: float
-    ) -> Optional[Tuple[float, Tuple[int, ...]]]:
-        """Cheapest feasible per-domain OPP vector for one placement.
-
-        Returns ``(predicted_cpu_mw, frequencies)`` or ``None`` when no
-        OPP combination carries the demand within the headroom target.
-        Demand is assumed to water-fill proportionally to capacity (the
-        scheduler's behaviour), so every online core runs at the same
-        busy fraction.
+        Maps per-domain online counts to ``(predicted_cpu_mw,
+        frequencies)``; a placement no OPP combination can carry within
+        the headroom target is absent.  Demand is assumed to water-fill
+        proportionally to capacity (the scheduler's behaviour), so every
+        online core runs at the same busy fraction.  Within a placement
+        the first cheapest combination in product order wins.
         """
         required = demand_ips / self.target_utilization
-        active = [i for i, count in enumerate(counts) if count > 0]
-        option_lists = [self._opp_options[i] for i in active]
-        best: Optional[Tuple[float, Tuple[int, ...]]] = None
-        for combo in itertools.product(*option_lists):
-            capacity = sum(
-                counts[domain] * option[0] for domain, option in zip(active, combo)
-            )
-            if capacity <= 0.0 or capacity < required:
-                continue
-            busy = clamp(demand_ips / capacity, 0.0, 1.0)
-            cost = 0.0
-            for domain, (_, _, dynamic, static, span) in zip(active, combo):
-                count = counts[domain]
-                params = self.cluster_specs[domain].power_params
-                cost += count * (busy * dynamic + static)
-                if count >= 2:
-                    cost += (
-                        params.cluster_overhead_base_mw
-                        + params.cluster_overhead_span_mw * span
-                    )
-                cost += busy * (params.cache_base_mw + params.cache_span_mw * span)
-            if best is None or cost < best[0]:
-                by_domain = dict(zip(active, combo))
-                frequencies = tuple(
-                    by_domain[i][1] if i in by_domain else 0
-                    for i in range(len(counts))
-                )
-                best = (cost, frequencies)
-        return best
+        capacity = self._capacity
+        busy = np.minimum(np.maximum(demand_ips / capacity, 0.0), 1.0)
+        cost = np.zeros_like(capacity)
+        for count, dynamic, static, overhead, cache in self._terms:
+            cost += count * (busy * dynamic + static)
+            cost += overhead
+            cost += busy * cache
+        cost[capacity < required] = np.inf
+        best = cost.argmin(axis=1)
+        found: Dict[Tuple[int, ...], Tuple[float, Tuple[int, ...]]] = {}
+        for p, (k, value) in enumerate(zip(best.tolist(), cost.min(axis=1).tolist())):
+            if value != np.inf:
+                found[self._placements[p]] = (value, self._frequencies[p][k])
+        return found
 
     # -- the policy interface ----------------------------------------------
 
@@ -229,14 +281,12 @@ class EnergyAwarePolicy(CpuPolicy):
                 f"energy-aware policy built for {self._num_cores} cores, "
                 f"observed {observation.num_cores}"
             )
-        members = self._members(observation)
-        demand = self._demand_ips(observation)
-
-        candidates: Dict[Tuple[int, ...], Tuple[float, Tuple[int, ...]]] = {}
-        for counts in self._candidate_counts():
-            point = self._best_point_for_counts(counts, demand)
-            if point is not None:
-                candidates[counts] = point
+        if observation.cluster_ids and tuple(observation.cluster_ids) != self._cluster_ids:
+            raise ConfigError(
+                f"energy-aware policy built for domains {self._cluster_ids}, "
+                f"observed {tuple(observation.cluster_ids)}"
+            )
+        candidates = self.candidates(self._demand_ips(observation))
         if not candidates:
             # Demand exceeds even everything-at-fmax: saturate the platform.
             counts = tuple(spec.num_cores for spec in self.cluster_specs)
@@ -267,7 +317,7 @@ class EnergyAwarePolicy(CpuPolicy):
         mask = [False] * observation.num_cores
         targets: List[Optional[float]] = [None] * observation.num_cores
         for domain, count in enumerate(chosen):
-            for core_id in members[domain][:count]:
+            for core_id in self._members[domain][:count]:
                 mask[core_id] = True
                 targets[core_id] = float(frequencies[domain])
         layout = "+".join(str(count) for count in chosen)

@@ -201,11 +201,6 @@ class RunnerStats:
             (``store_dir``); counted alongside ``cache_hits``, so the
             ``--stats`` table shows how much of a batch the experiment
             store answered without simulating.
-        unenforced_timeouts: Batched specs that carried a
-            ``timeout_seconds`` budget the vectorized path cannot
-            enforce (batched groups run in the driver process).  Each
-            such spec also gets a per-spec ``detail`` note — the
-            documented gap, now surfaced instead of silent.
         corrupt_cache_entries: On-disk entries that failed checksum or
             parsing and were quarantined.
         failed_specs: Specs that never produced a summary.
@@ -225,7 +220,6 @@ class RunnerStats:
     memo_hits: int = 0
     cache_hits: int = 0
     store_hits: int = 0
-    unenforced_timeouts: int = 0
     retries: int = 0
     timeouts: int = 0
     corrupt_cache_entries: int = 0
@@ -254,7 +248,6 @@ class RunnerStats:
         self.memo_hits += other.memo_hits
         self.cache_hits += other.cache_hits
         self.store_hits += other.store_hits
-        self.unenforced_timeouts += other.unenforced_timeouts
         self.retries += other.retries
         self.timeouts += other.timeouts
         self.corrupt_cache_entries += other.corrupt_cache_entries
@@ -298,10 +291,8 @@ class SessionRunner:
             their spec's index; everything a batch cannot take — and any
             batch that errors — transparently falls back to the normal
             pool/inline path.  Batched specs run in the driver process,
-            so ``timeout_seconds`` is not enforced for them — each such
-            spec is flagged with a ``detail`` note and counted in
-            ``RunnerStats.unenforced_timeouts`` rather than silently
-            losing its budget.
+            where no wall budget can preempt them, so ``batch=True``
+            cannot be combined with ``timeout_seconds``.
         retries: How many times a failed execution attempt (worker
             crash, exception, timeout) is re-scheduled before the spec
             is reported failed.  0 (the default) keeps the historical
@@ -312,7 +303,8 @@ class SessionRunner:
             running portable specs in worker processes (even with
             ``jobs=1``) and terminating workers that exceed it;
             non-portable specs run in-process and cannot be preempted.
-            ``None`` (the default) disables the budget.
+            ``None`` (the default) disables the budget.  Rejected
+            together with ``batch=True``.
         last_stats: Accounting of the most recent :meth:`run` call.
         total_stats: The same counters accumulated over every
             :meth:`run` call on this runner — what ``--stats`` prints
@@ -377,6 +369,12 @@ class SessionRunner:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise RunnerError(
                 f"timeout_seconds must be positive, got {self.timeout_seconds}"
+            )
+        if self.timeout_seconds is not None and self.batch:
+            raise RunnerError(
+                "timeout_seconds cannot be combined with batch=True: batched "
+                "groups run in the calling process, where no wall budget "
+                "can preempt them"
             )
         if self.cache_dir and os.path.exists(self.cache_dir) and not os.path.isdir(
             self.cache_dir
@@ -921,12 +919,6 @@ class SessionRunner:
                 outcome = report.outcomes[index]
                 outcome.attempts += 1
                 outcome.detail = f"batched({len(members)})"
-                if self.timeout_seconds is not None:
-                    # The documented gap, surfaced: vectorized groups run
-                    # in the driver process, where a wall budget cannot
-                    # preempt anything.
-                    outcome.detail += "; timeout not enforced"
-                    stats.unenforced_timeouts += 1
                 report.summaries[index] = execution.summary
                 self._record_executed(
                     index, specs[index], execution, keys[index], stats, batch_began

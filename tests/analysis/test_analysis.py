@@ -1,5 +1,7 @@
 """Sweeps, ratio analysis, policy comparison, and report rendering."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.comparison import PolicyComparison
@@ -53,6 +55,24 @@ class TestSweeps:
         summaries = core_count_sweep(spec, [1, 2, 4], 960_000, 100.0, CFG)
         powers = [s.mean_power_mw for s in summaries]
         assert powers == sorted(powers)
+
+    def test_grid_specs_are_labelled_outside_the_cache_key(self):
+        class Capture:
+            def run(self, batch):
+                self.batch = batch
+                return []
+
+        runner = Capture()
+        utilization_sweep("Nexus 5", 2, 960_000, [10.0, 50.0], CFG, runner=runner)
+        labels = [spec.label for spec in runner.batch]
+        assert labels == [
+            "static_policy(frequency_khz=960000,online_count=2) "
+            f"busyloop_app(num_threads=2,reference_frequency_khz=960000,"
+            f"target_load_percent={level})"
+            for level in (10.0, 50.0)
+        ]
+        for spec in runner.batch:
+            assert spec.cache_key() == dataclasses.replace(spec, label="").cache_key()
 
     def test_run_session_isolated_platforms(self, spec):
         """Two runs never share thermal or cluster state."""

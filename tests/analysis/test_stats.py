@@ -1,7 +1,13 @@
 """Trial statistics: confidence intervals over repeated seeds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.stats import TrialStats, trial_statistics
 from repro.errors import ExperimentError
 
@@ -81,3 +87,20 @@ class TestWithComparisons:
         assert stats.n == 3
         assert stats.ci_low < stats.mean < stats.ci_high
         assert stats.mean > 0.0
+
+
+def test_package_imports_leave_scipy_unloaded():
+    # scipy is imported lazily by trial_statistics; loading the runner,
+    # experiment and analysis layers must not pay for it.
+    src = Path(repro.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import repro.experiments, repro.runner, repro.scenario, repro.store\n"
+        "import repro.analysis.comparison, repro.analysis.stats\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """The EAS-style energy-aware placement policy, unit and end to end."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -10,6 +12,7 @@ from repro.policies.base import SystemObservation
 from repro.policies.energy_aware import EnergyAwarePolicy
 from repro.scenario import POLICY_REGISTRY, policy_ref
 from repro.soc.catalog import get_phone_spec, nexus5_spec, odroid_xu3_spec
+from repro.soc.opp import Opp, OppTable
 from repro.soc.platform import Platform
 from repro.workloads.busyloop import BusyLoopApp
 
@@ -69,6 +72,28 @@ class TestEnergyAwareUnit:
     def test_core_count_mismatch_rejected(self, policy):
         with pytest.raises(ConfigError):
             policy.decide(observe(nexus5_spec(), [0.0] * 4))
+
+    def test_domain_layout_mismatch_rejected(self, policy, xu3_spec):
+        # The core -> domain layout is fixed at construction; an
+        # observation that disagrees with it is a wiring error.
+        obs = observe(xu3_spec, [0.0] * 8)
+        swapped = dataclasses.replace(obs, cluster_ids=(1,) * 4 + (0,) * 4)
+        with pytest.raises(ConfigError):
+            policy.decide(swapped)
+
+    def test_cost_ties_keep_the_first_combination(self, xu3_spec):
+        # Two OPPs at one voltage leak alike, so at zero demand a lone
+        # core costs the same at either: the first in product order (the
+        # lower frequency) must win, as "first strictly cheaper" did.
+        little = xu3_spec.cluster_specs()[0]
+        shared_voltage = dataclasses.replace(
+            little,
+            num_cores=2,
+            opp_table=OppTable([Opp(300_000, 0.85), Opp(400_000, 0.85), Opp(500_000, 0.9)]),
+        )
+        policy = EnergyAwarePolicy([shared_voltage])
+        _, frequencies = policy.candidates(0.0)[(1,)]
+        assert frequencies == (300_000,)
 
     def test_idle_demand_parks_on_one_little_core(self, policy, xu3_spec):
         decision = policy.decide(observe(xu3_spec, [0.0] * 8))

@@ -9,6 +9,7 @@ pool/inline path, and the summaries equal a plain runner's bit for bit.
 import pytest
 
 from repro.config import SimulationConfig
+from repro.errors import RunnerError
 from repro.faults import FaultPlan, ThermalThrottleFault
 from repro.runner.runner import SessionRunner
 from repro.runner.spec import SessionSpec
@@ -140,44 +141,34 @@ class TestScenarioOrderingRegression:
 
 
 class TestUnenforcedTimeoutAccounting:
-    """Batched groups run in the driver process, so --timeout cannot be
-    enforced there; the gap must be *visible*, never silent."""
+    """Batched groups run in the calling process, where --timeout cannot
+    preempt anything; the runner rejects the combination up front instead
+    of running specs with a budget it cannot keep."""
 
     def test_batched_specs_surface_the_timeout_gap(self):
-        specs = [sweep_spec(index) for index in range(3)]
-        runner = SessionRunner(batch=True, timeout_seconds=60.0)
-        report = runner.run_report(specs)
-        report.raise_on_failure()
-        assert runner.last_stats.unenforced_timeouts == len(specs)
-        for outcome in report.outcomes:
-            assert "timeout not enforced" in outcome.detail
+        with pytest.raises(RunnerError, match="timeout_seconds cannot be combined"):
+            SessionRunner(batch=True, timeout_seconds=60.0)
 
     def test_no_timeout_means_no_gap_to_report(self):
         specs = [sweep_spec(index) for index in range(2)]
         runner = SessionRunner(batch=True)
         report = runner.run_report(specs)
-        assert runner.last_stats.unenforced_timeouts == 0
-        for outcome in report.outcomes:
-            assert "timeout not enforced" not in outcome.detail
+        report.raise_on_failure()
+        assert [outcome.detail for outcome in report.outcomes] == ["batched(2)"] * 2
 
-    def test_pool_path_still_enforces_without_counting(self):
-        # Unbatchable (faulted) specs take the pool path where the
-        # timeout IS real; nothing should count as unenforced there.
-        specs = [sweep_spec(0, faults=faulted_plan())]
-        runner = SessionRunner(batch=True, timeout_seconds=60.0, jobs=2)
-        runner.run(specs)
-        assert runner.last_stats.unenforced_timeouts == 0
+    def test_pool_path_accepts_timeouts(self):
+        # Without batching a timeout is still accepted: specs run in
+        # worker processes that the budget can terminate.
+        runner = SessionRunner(timeout_seconds=60.0, jobs=2)
+        report = runner.run_report([sweep_spec(0, faults=faulted_plan())])
+        report.raise_on_failure()
+        assert runner.last_stats.timeouts == 0
 
-    def test_single_spec_group_enforces_normally(self):
-        # A group of one takes the normal (enforceable) path, so no gap.
-        runner = SessionRunner(batch=True, timeout_seconds=60.0)
-        runner.run([sweep_spec(0)])
-        assert runner.last_stats.unenforced_timeouts == 0
-
-    def test_stats_table_reports_the_counter(self):
+    def test_stats_table_has_no_gap_row(self):
         from repro.obs.metrics_plane import stats_rows
 
-        runner = SessionRunner(batch=True, timeout_seconds=60.0)
+        runner = SessionRunner(batch=True)
         runner.run([sweep_spec(0), sweep_spec(1)])
         rows = dict(stats_rows(runner.last_stats))
-        assert rows["unenforced timeouts"] == "2"
+        assert "unenforced timeouts" not in rows
+        assert rows["timeouts"] == "0"
