@@ -121,39 +121,40 @@ class MobiCorePolicy(CpuPolicy):
         """Step 1: the default DVFS choice per online core."""
         while len(self._governors) < observation.num_cores:
             self._governors.append(OndemandGovernor())
+        loads = observation.per_core_load_percent
+        frequencies = observation.frequencies_khz
+        tables = observation.core_opp_tables
         choices: List[Optional[int]] = []
-        for core_id in range(observation.num_cores):
-            if not observation.online_mask[core_id]:
+        for core_id, online in enumerate(observation.online_mask):
+            if not online:
                 choices.append(None)
                 continue
             choices.append(
                 self._governors[core_id].select(
                     GovernorInput(
-                        load_percent=observation.per_core_load_percent[core_id],
-                        current_khz=observation.frequencies_khz[core_id],
-                        opp_table=observation.opp_table_of(core_id),
+                        load_percent=loads[core_id],
+                        current_khz=frequencies[core_id],
+                        opp_table=tables[core_id],
                         dt_seconds=observation.dt_seconds,
                     )
                 )
             )
         return choices
 
-    def _step_bandwidth(self, observation: SystemObservation) -> float:
+    def _step_bandwidth(self, observation: SystemObservation, phone_load: float) -> float:
         """Step 2: Table 2's quota update; returns the quota in effect.
 
-        Works on the fmax-normalised phone load so the 40% threshold
-        measures *workload*, not busy time at whatever (possibly already
-        trimmed) frequency the cores happen to run.
+        Works on the fmax-normalised phone load (*phone_load*, see
+        :meth:`_phone_load`) so the 40% threshold measures *workload*,
+        not busy time at whatever (possibly already trimmed) frequency
+        the cores happen to run.
         """
-        scaled_load = clamp(
-            observation.total_scaled_load_percent / observation.num_cores, 0.0, 100.0
-        )
         delta = (
             0.0
             if self._prev_scaled_load is None
-            else scaled_load - self._prev_scaled_load
+            else phone_load - self._prev_scaled_load
         )
-        self._prev_scaled_load = scaled_load
+        self._prev_scaled_load = phone_load
         self.predictor.observe(delta)
         if not self.use_quota:
             return 1.0
@@ -162,9 +163,11 @@ class MobiCorePolicy(CpuPolicy):
         # burst and restore the full bandwidth before re-analysing.
         if observation.global_util_percent >= 96.0 * observation.quota:
             return self.quota_controller.boost()
-        return self.quota_controller.update(scaled_load, delta)
+        return self.quota_controller.update(phone_load, delta)
 
-    def _step_core_count(self, observation: SystemObservation, quota: float) -> int:
+    def _step_core_count(
+        self, observation: SystemObservation, quota: float, phone_load: float
+    ) -> int:
         """Step 3: the 10% offline rule plus demand-driven onlining.
 
         With ``use_dcs=False`` every core stays online (the DVFS-only
@@ -180,35 +183,34 @@ class MobiCorePolicy(CpuPolicy):
         one, which is what makes MobiCore "switch to add a new core
         instead of raising the frequency too high" (section 5.3).
         """
+        num_cores = observation.num_cores
         if not self.use_dcs:
-            return observation.num_cores
-        busy_enough = sum(
-            1
-            for core_id in range(observation.num_cores)
-            if observation.online_mask[core_id]
-            and observation.scaled_load_percent(core_id) >= self.offline_threshold_percent
+            return num_cores
+        threshold = self.offline_threshold_percent
+        busy_enough = len(
+            [
+                scaled
+                for scaled, online in zip(
+                    observation.scaled_loads_percent, observation.online_mask
+                )
+                if online and scaled >= threshold
+            ]
         )
         count = max(busy_enough, 1)
 
         # Demand forecast in global-load terms (percent of platform max).
-        forecast_load = self.predictor.forecast(
-            clamp(
-                observation.total_scaled_load_percent / observation.num_cores,
-                0.0,
-                100.0,
-            )
-        )
-        demand_fmax_cores = forecast_load * observation.num_cores / 100.0
+        forecast_load = self.predictor.forecast(phone_load)
+        demand_fmax_cores = forecast_load * num_cores / 100.0
         # Feasibility: never plan fewer cores than the demand saturates
         # even at fmax (with a small headroom so the plan is reachable).
         min_feasible = max(1, int(-(-demand_fmax_cores // 0.98)))
-        count = max(count, min(min_feasible, observation.num_cores))
+        count = max(count, min(min_feasible, num_cores))
 
-        if self.use_optimizer and count < observation.num_cores:
+        if self.use_optimizer and count < num_cores:
             count = self.optimizer.best_count_between(
                 clamp(forecast_load, 0.0, 100.0), count, count + 1
             )
-        return min(count, observation.num_cores)
+        return min(count, num_cores)
 
     def _step_frequency(
         self,
@@ -223,15 +225,16 @@ class MobiCorePolicy(CpuPolicy):
         zero), bandwidth-scaled; Eq. (9)'s nmax/n then spreads it back
         over the cores that will actually be active.
         """
+        num_cores = observation.num_cores
         phone_k = (
             observation.global_util_percent
             * observation.online_count
-            / observation.num_cores
+            / num_cores
         )
         scaled_k = clamp(phone_k * quota, 0.0, 100.0)
+        tables = observation.core_opp_tables
         targets: List[Optional[float]] = []
-        for core_id in range(observation.num_cores):
-            ondemand_khz = ondemand_choices[core_id]
+        for core_id, ondemand_khz in enumerate(ondemand_choices):
             if ondemand_khz is None:
                 targets.append(None)
                 continue
@@ -241,50 +244,59 @@ class MobiCorePolicy(CpuPolicy):
                         ondemand_khz=ondemand_khz,
                         phone_utilization_percent=scaled_k,
                         active_cores=active_cores,
-                        max_cores=observation.num_cores,
-                        opp_table=observation.opp_table_of(core_id),
+                        max_cores=num_cores,
+                        opp_table=tables[core_id],
                     )
                 )
             )
         return targets
 
+    @staticmethod
+    def _phone_load(observation: SystemObservation) -> float:
+        """The fmax-normalised phone load in percent, clamped to [0, 100].
+
+        Steps 2 and 3 and the trace reason all read this one per-tick
+        value.
+        """
+        return clamp(
+            observation.total_scaled_load_percent / observation.num_cores, 0.0, 100.0
+        )
+
     # -- the policy interface ------------------------------------------------
 
     def decide(self, observation: SystemObservation) -> PolicyDecision:
+        num_cores = observation.num_cores
+        online_count = observation.online_count
+        phone_load = self._phone_load(observation)
         ondemand_choices = self._step_ondemand(observation)
-        quota = self._step_bandwidth(observation)
-        active_cores = self._step_core_count(observation, quota)
+        quota = self._step_bandwidth(observation, phone_load)
+        active_cores = self._step_core_count(observation, quota, phone_load)
         # Eq. (9) uses n as measured *this* sampling period (the K it
         # scales was produced by these n cores); a changed core count
         # feeds back through the next period's utilization.
         targets = self._step_frequency(
-            observation, ondemand_choices, quota, observation.online_count
+            observation, ondemand_choices, quota, online_count
         )
 
-        mask = [core_id < active_cores for core_id in range(observation.num_cores)]
+        mask = [core_id < active_cores for core_id in range(num_cores)]
         # Cores coming online need a frequency; give them the Eq. (9)
         # re-evaluation of the busiest current choice.
         online_targets = [t for t in targets if t is not None]
         fill = max(online_targets) if online_targets else float(
             observation.opp_table.min_frequency_khz
         )
-        for core_id in range(observation.num_cores):
+        for core_id in range(num_cores):
             if mask[core_id] and targets[core_id] is None:
                 targets[core_id] = fill
 
         # Self-reported cause for the trace: the detected workload mode
         # plus whichever mechanism this tick actually moved.
         mode = self.predictor.classify(
-            clamp(
-                observation.total_scaled_load_percent / observation.num_cores,
-                0.0,
-                100.0,
-            ),
-            self.predictor.trend_percent_per_tick,
+            phone_load, self.predictor.trend_percent_per_tick
         )
         reason = mode.name.lower()
-        if active_cores != observation.online_count:
-            reason += f":cores{active_cores - observation.online_count:+d}"
+        if active_cores != online_count:
+            reason += f":cores{active_cores - online_count:+d}"
         if quota != observation.quota:
             reason += ":quota"
         return PolicyDecision(

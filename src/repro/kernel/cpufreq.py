@@ -55,6 +55,13 @@ class CpufreqSubsystem:
             )
             for core in platform.topology.cores
         ]
+        # The topology never changes, so the domains whose rail is shared
+        # (and must be unified after every apply) are resolved once.
+        self._shared_rail_clusters = tuple(
+            cluster
+            for cluster in platform.topology.clusters
+            if not platform.domain_allows_per_core_dvfs(cluster.cluster_id)
+        )
         self._transition_count = 0
         self._tp_transition = NULL_TRACEPOINT
 
@@ -108,37 +115,43 @@ class CpufreqSubsystem:
                 f"{len(targets_khz)} targets for {len(topology)} cores"
             )
         thermal_cap = self.platform.thermal.max_allowed_frequency_khz
+        limits = self._limits
         for core, target in zip(topology.cores, targets_khz):
             if target is None:
                 continue
             table = core.opp_table
-            clamped = self._limits[core.core_id].clamp(target)
+            clamped = limits[core.core_id].clamp(target)
             clamped = min(clamped, thermal_cap)
             # The thermal cap may sit below a domain's entire ladder
             # (e.g. a throttled big cluster); floor() would reject such a
             # target, so clamp into the ladder before quantising.
             clamped = max(clamped, table.min_frequency_khz)
             opp = table.ceil(clamped) if round_up else table.floor(clamped)
-            frequency = min(opp.frequency_khz, thermal_cap)
-            if frequency not in table:
-                frequency = table.floor(max(frequency, table.min_frequency_khz)).frequency_khz
-            if frequency != core.frequency_khz:
+            frequency = opp.frequency_khz
+            if frequency > thermal_cap:
+                # Only a capped frequency can fall between table entries.
+                frequency = thermal_cap
+                if frequency not in table:
+                    frequency = table.floor(
+                        max(frequency, table.min_frequency_khz)
+                    ).frequency_khz
+            current = core.frequency_khz
+            if frequency != current:
                 self._transition_count += 1
                 tp = self._tp_transition
                 if tp.enabled:
                     tp.emit(
                         core=core.core_id,
-                        old_khz=core.frequency_khz,
+                        old_khz=current,
                         new_khz=frequency,
                         governor=tp.bus.ctx_governor,
                         reason=tp.bus.ctx_reason,
                         cluster=topology.cluster_id_of(core.core_id),
                     )
-            core.set_frequency(frequency)
-        for cluster in topology.clusters:
-            if not self.platform.domain_allows_per_core_dvfs(cluster.cluster_id):
-                self._unify_shared_rail(cluster)
-        return [core.frequency_khz for core in topology.cores]
+                core.set_frequency(frequency)
+        for cluster in self._shared_rail_clusters:
+            self._unify_shared_rail(cluster)
+        return topology.frequencies_khz
 
     def _unify_shared_rail(self, cluster) -> None:
         """Force a domain's online cores to its fastest requested OPP (shared rail)."""

@@ -8,7 +8,7 @@ the race-to-idle ablation bench) can quantify exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..errors import MeterError
 from ..obs.bus import NULL_TRACEPOINT, TracepointBus
@@ -22,6 +22,11 @@ from typing import Union
 
 __all__ = ["CpuidleStats"]
 
+#: Slot of each state in a core's residency list.  The tick path indexes
+#: plain lists, so recording hashes no enum members.
+_ACTIVE, _IDLE, _OFFLINE = range(3)
+_SLOT = {CoreState.ACTIVE: _ACTIVE, CoreState.IDLE: _IDLE, CoreState.OFFLINE: _OFFLINE}
+
 
 class CpuidleStats:
     """Per-core residency accumulator, fed once per tick."""
@@ -30,8 +35,8 @@ class CpuidleStats:
         if num_cores < 1:
             raise MeterError(f"num_cores must be positive, got {num_cores}")
         self.num_cores = num_cores
-        self._residency: List[Dict[CoreState, float]] = [
-            {state: 0.0 for state in CoreState} for _ in range(num_cores)
+        self._residency: List[List[float]] = [
+            [0.0] * len(_SLOT) for _ in range(num_cores)
         ]
         self._total_seconds = 0.0
         self._last_state: List[Optional[CoreState]] = [None] * num_cores
@@ -54,20 +59,22 @@ class CpuidleStats:
                 f"stats sized for {self.num_cores} cores, cluster has {len(cluster)}"
             )
         tp = self._tp_entry
+        last_state = self._last_state
         for core in cluster.cores:
-            buckets = self._residency[core.core_id]
+            core_id = core.core_id
+            buckets = self._residency[core_id]
             if not core.is_online:
-                buckets[CoreState.OFFLINE] += dt_seconds
+                buckets[_OFFLINE] += dt_seconds
                 dominant = CoreState.OFFLINE
             else:
                 busy = core.busy_fraction
-                buckets[CoreState.ACTIVE] += dt_seconds * busy
-                buckets[CoreState.IDLE] += dt_seconds * (1.0 - busy)
+                buckets[_ACTIVE] += dt_seconds * busy
+                buckets[_IDLE] += dt_seconds * (1.0 - busy)
                 dominant = CoreState.ACTIVE if busy > 0.0 else CoreState.IDLE
-            if dominant is not self._last_state[core.core_id]:
-                self._last_state[core.core_id] = dominant
+            if dominant is not last_state[core_id]:
+                last_state[core_id] = dominant
                 if tp.enabled:
-                    tp.emit(core=core.core_id, state=dominant.name)
+                    tp.emit(core=core_id, state=dominant.name)
         self._total_seconds += dt_seconds
 
     @property
@@ -78,7 +85,7 @@ class CpuidleStats:
     def residency_seconds(self, core_id: int, state: CoreState) -> float:
         """Seconds core *core_id* spent in *state*."""
         try:
-            return self._residency[core_id][state]
+            return self._residency[core_id][_SLOT[state]]
         except IndexError:
             raise MeterError(f"no core {core_id}") from None
 
@@ -92,13 +99,13 @@ class CpuidleStats:
         """Fraction of all core-seconds spent in *state*."""
         if self._total_seconds == 0:
             return 0.0
-        total = sum(buckets[state] for buckets in self._residency)
+        slot = _SLOT[state]
+        total = sum(buckets[slot] for buckets in self._residency)
         return total / (self._total_seconds * self.num_cores)
 
     def reset(self) -> None:
         """Zero all counters."""
         for buckets in self._residency:
-            for state in buckets:
-                buckets[state] = 0.0
+            buckets[:] = [0.0] * len(_SLOT)
         self._total_seconds = 0.0
         self._last_state = [None] * self.num_cores

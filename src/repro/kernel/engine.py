@@ -296,6 +296,7 @@ class Session:
             self._tp_counters = trace.tracepoint("counters", "tick", TickCountersEvent)
             self._tp_decision = trace.tracepoint("policy", "decision", PolicyDecisionEvent)
         self._clock = SimClock(self.config.tick_seconds)
+        self._total_ticks = self.config.total_ticks
         self._trace: Optional[TraceRecorder] = None
         self._tick = 0
 
@@ -314,7 +315,7 @@ class Session:
     @property
     def finished(self) -> bool:
         """True when the configured duration has fully elapsed."""
-        return self.started and self._tick >= self.config.total_ticks
+        return self._trace is not None and self._tick >= self._total_ticks
 
     def start(self) -> None:
         """Reset everything and arm the session at tick zero."""
@@ -345,6 +346,11 @@ class Session:
         )
         self.workload.prepare(context)
         self._clock = SimClock(self.config.tick_seconds)
+        # Platform constants the tick reads, resolved once per session.
+        self._core_fmax_khz = tuple(
+            core.max_frequency_khz for core in self.platform.topology.cores
+        )
+        self._allows_per_core_dvfs = self.platform.allows_per_core_dvfs
         # Columnar recorder sized to the session: one allocation, no growth.
         self._trace = TraceRecorder(
             warmup_ticks=self.config.warmup_ticks,
@@ -367,72 +373,81 @@ class Session:
 
     def _step_core(self) -> None:
         """Execute one tick, recording columns only (no record objects)."""
-        if not self.started:
+        if self._trace is None:
             self.start()
-        if self.finished:
+        tick = self._tick
+        if tick >= self._total_ticks:
             raise ExperimentError(
-                f"session already ran its {self.config.total_ticks} ticks; "
+                f"session already ran its {self._total_ticks} ticks; "
                 f"call start() to begin a new one"
             )
         stack = self.stack
         platform = self.platform
         cluster = platform.topology
         dt = self.config.tick_seconds
-        tick = self._tick
+        now_seconds = self._clock.now_seconds
 
         bus = self.trace_bus
         if bus is not None:
-            bus.set_time_us(int(round(self._clock.now_seconds * 1_000_000)))
+            bus.set_time_us(int(round(now_seconds * 1_000_000)))
 
         if self._injector is not None:
             # Faults fire on the simulated clock, before demand is placed,
             # so a window's first tick already runs under the fault.
-            self._injector.on_tick(self._clock.now_seconds)
+            self._injector.on_tick(now_seconds)
 
+        # Per-tick derived values are computed once here and reused by
+        # every consumer below: nothing between dispatch and the policy's
+        # decision changes the online mask, the frequencies or the quota
+        # (only ``stack.apply`` at the end of the tick does).
+        quota = stack.bandwidth.quota
         demands = self.workload.demand(tick)
-        dispatch = self.scheduler.dispatch(
-            demands, cluster, dt, quota=stack.bandwidth.quota
-        )
+        dispatch = self.scheduler.dispatch(demands, cluster, dt, quota=quota)
+        busy_fractions = dispatch.busy_fractions
+        frequencies = cluster.frequencies_khz
+        core_fmax = self._core_fmax_khz
+        # Each core normalises against its own domain's fmax — on a
+        # homogeneous platform that is the one global fmax, same number.
+        scaled_terms = []
         for core in cluster.cores:
             if core.is_online:
-                core.account(min(dispatch.busy_fractions[core.core_id], 1.0))
+                core_id = core.core_id
+                busy = min(busy_fractions[core_id], 1.0)
+                core.account(busy)
+                scaled_terms.append(busy * frequencies[core_id] / core_fmax[core_id])
         self.workload.record_execution(tick, dispatch.executed_by_task)
 
         snapshot = stack.procstat.record(
             tick,
-            [min(100.0, 100.0 * f) for f in dispatch.busy_fractions],
+            [min(100.0, 100.0 * f) for f in busy_fractions],
             cluster.online_mask,
         )
+        online_mask = snapshot.online_mask
+        global_percent = snapshot.global_percent
         stack.cpuidle.record(cluster, dt)
 
         breakdown = platform.power_breakdown()
-        temperature = platform.thermal.step(breakdown.cpu_mw, dt)
-        # Each core normalises against its own domain's fmax — on a
-        # homogeneous platform that is the one global fmax, same number.
-        scaled_load = (
-            100.0
-            * sum(
-                c.busy_fraction * c.frequency_khz / c.max_frequency_khz
-                for c in cluster.online_cores
-            )
-            / len(cluster)
-        )
+        cpu_mw = breakdown.cpu_mw
+        total_mw = breakdown.total_mw
+        temperature = platform.thermal.step(cpu_mw, dt)
+        scaled_load = 100.0 * sum(scaled_terms) / len(online_mask)
+        backlog = dispatch.total_backlog
         # Columns go straight into the trace buffer; the buffer copies
         # the per-core sequences into its staging lists before returning,
         # so the cluster/dispatch scratch state can never alias recorded
         # history.
         self._trace.record_tick(
             tick,
-            self._clock.now_seconds,
-            cluster.frequencies_khz,
-            cluster.online_mask,
-            dispatch.busy_fractions,
-            snapshot.global_percent,
-            stack.bandwidth.quota,
-            breakdown.total_mw,
-            breakdown.cpu_mw,
+            now_seconds,
+            frequencies,
+            online_mask,
+            busy_fractions,
+            global_percent,
+            quota,
+            total_mw,
+            cpu_mw,
             temperature,
-            dispatch.total_backlog,
+            backlog,
             dispatch.dropped_cycles,
             self.workload.tick_fps(),
             scaled_load,
@@ -441,29 +456,29 @@ class Session:
         tp = self._tp_counters
         if tp.enabled:
             tp.emit(
-                power_mw=breakdown.total_mw,
-                cpu_power_mw=breakdown.cpu_mw,
-                util_percent=snapshot.global_percent,
+                power_mw=total_mw,
+                cpu_power_mw=cpu_mw,
+                util_percent=global_percent,
                 scaled_load_percent=scaled_load,
-                quota=stack.bandwidth.quota,
-                online_cores=sum(cluster.online_mask),
+                quota=quota,
+                online_cores=sum(online_mask),
                 temperature_c=temperature,
             )
 
         observation = SystemObservation(
             tick=tick,
             dt_seconds=dt,
-            per_core_load_percent=tuple(snapshot.per_core_percent),
-            global_util_percent=snapshot.global_percent,
+            per_core_load_percent=snapshot.per_core_percent,
+            global_util_percent=global_percent,
             delta_util_percent=stack.procstat.delta_global_percent(),
-            frequencies_khz=tuple(cluster.frequencies_khz),
-            online_mask=tuple(cluster.online_mask),
-            quota=stack.bandwidth.quota,
+            frequencies_khz=tuple(frequencies),
+            online_mask=online_mask,
+            quota=quota,
             opp_table=platform.opp_table,
-            backlog_cycles=dispatch.total_backlog,
-            allows_per_core_dvfs=platform.allows_per_core_dvfs,
+            backlog_cycles=backlog,
+            allows_per_core_dvfs=self._allows_per_core_dvfs,
             cluster_ids=cluster.cluster_ids,
-            cluster_opp_tables=tuple(c.opp_table for c in cluster.clusters),
+            cluster_opp_tables=cluster.opp_tables,
         )
         if self._injector is not None:
             # Sensor dropout blinds only the policy: accounting above has
@@ -515,7 +530,7 @@ class Session:
         with span("execute"):
             self.start()
             step_core = self._step_core
-            while not self.finished:
+            for _ in range(self._total_ticks):
                 step_core()
         return self.result()
 

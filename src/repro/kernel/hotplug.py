@@ -127,10 +127,11 @@ class HotplugSubsystem:
                     tp = self._tp_veto
                     if tp.enabled:
                         tp.emit(core=core.core_id)
-        before = self.cluster.online_mask
+        tp = self._tp_state
+        # The pre-change mask only feeds the per-core state events.
+        before = self.cluster.online_mask if tp.enabled else None
         self._transition_latency_seconds += self.cluster.set_online_mask(effective)
         after = self.cluster.online_mask
-        tp = self._tp_state
         if tp.enabled:
             for core_id, (was, now) in enumerate(zip(before, after)):
                 if was != now:

@@ -10,10 +10,11 @@ MobiCore's burst/slow-mode detector consumes (section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 from ..errors import MeterError
-from ..units import require_percent
+from ..units import require_percents
 
 __all__ = ["TickUtilization", "ProcStat"]
 
@@ -32,9 +33,13 @@ class TickUtilization:
     per_core_percent: Sequence[float]
     online_mask: Sequence[bool]
 
-    @property
+    @cached_property
     def global_percent(self) -> float:
-        """Average utilization over *online* cores (paper section 2.2)."""
+        """Average utilization over *online* cores (paper section 2.2).
+
+        Computed on first use and kept: the engine, the trace, the
+        policy observation and the next tick's delta all read it.
+        """
         online = [u for u, on in zip(self.per_core_percent, self.online_mask) if on]
         if not online:
             return 0.0
@@ -63,8 +68,7 @@ class ProcStat:
             raise MeterError(
                 f"{len(per_core_percent)} utilizations for {len(online_mask)} online flags"
             )
-        for value in per_core_percent:
-            require_percent(value, "per-core utilization")
+        require_percents(per_core_percent, "per-core utilization")
         snapshot = TickUtilization(
             tick=tick,
             per_core_percent=tuple(per_core_percent),
@@ -91,9 +95,10 @@ class ProcStat:
         Zero before two ticks exist.  This is the signal MobiCore's
         bandwidth controller thresholds against (Table 2).
         """
-        if self.latest is None or self.previous is None:
+        history = self._history
+        if len(history) < 2:
             return 0.0
-        return self.latest.global_percent - self.previous.global_percent
+        return history[-1].global_percent - history[-2].global_percent
 
     def mean_global_percent(self, last_n: Optional[int] = None) -> float:
         """Mean global utilization over the last *last_n* ticks (or all kept)."""

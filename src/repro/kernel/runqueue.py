@@ -56,14 +56,23 @@ class RunQueue:
         remaining = capacity_cycles
         executed: Dict[int, float] = {}
         leftover: Dict[int, float] = {}
+        # Only positive amounts are stored, so starting a task's entry at
+        # the amount itself is bit-identical to accumulating from 0.0.
         for task, cycles in self._assignments:
             ran = min(cycles, remaining)
             remaining -= ran
+            task_id = task.task_id
             if ran > 0:
-                executed[task.task_id] = executed.get(task.task_id, 0.0) + ran
+                if task_id in executed:
+                    executed[task_id] += ran
+                else:
+                    executed[task_id] = ran
             rest = cycles - ran
             if rest > 0:
-                leftover[task.task_id] = leftover.get(task.task_id, 0.0) + rest
+                if task_id in leftover:
+                    leftover[task_id] += rest
+                else:
+                    leftover[task_id] = rest
         busy = capacity_cycles - remaining
         return busy, executed, leftover
 

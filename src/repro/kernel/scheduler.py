@@ -19,6 +19,7 @@ greedy balancer:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from .runqueue import RunQueue
@@ -131,20 +132,34 @@ class LoadBalancingScheduler:
 
         items = self._merge_backlog(demands)
         queues = {core.core_id: RunQueue(core.core_id) for core in online}
-        remaining = {
+        # One capacity per core per tick: the quota-limited budget work is
+        # placed on and executed against, and the unthrottled capacity
+        # busy fractions are measured against (the same number at full
+        # quota, where the two expressions are identical).
+        capacity = {
             core.core_id: core.capacity_cycles(dt_seconds, quota) for core in online
         }
+        if quota == 1.0:
+            full_capacity = capacity
+        else:
+            full_capacity = {
+                core.core_id: core.capacity_cycles(dt_seconds, 1.0) for core in online
+            }
+        remaining = dict(capacity)
 
         parallel_items = [item for item in items if item.task.parallel]
-        serial_items = [item for item in items if not item.task.parallel]
+        serial_items = [
+            (item.total_cycles, item) for item in items if not item.task.parallel
+        ]
 
         # Single-thread work first, largest first, to the emptiest core:
         # a thread is bound to one core for the tick.
-        serial_items.sort(key=lambda item: item.total_cycles, reverse=True)
-        for item in serial_items:
-            target = max(remaining, key=lambda cid: remaining[cid])
-            queues[target].assign(item.task, item.total_cycles)
-            remaining[target] = max(0.0, remaining[target] - item.total_cycles)
+        serial_items.sort(key=itemgetter(0), reverse=True)
+        for cycles, item in serial_items:
+            target = max(remaining, key=remaining.__getitem__)
+            queues[target].assign(item.task, cycles)
+            left = remaining[target] - cycles
+            remaining[target] = left if left > 0.0 else 0.0
             task_id = item.task.task_id
             previous = self._last_core.get(task_id)
             if previous is not None and previous != target:
@@ -157,21 +172,29 @@ class LoadBalancingScheduler:
         for item in parallel_items:
             self._assign_parallel(item, queues, remaining)
 
-        busy_cycles = [0.0] * len(cluster)
-        busy_fractions = [0.0] * len(cluster)
+        num_cores = len(cluster)
+        busy_cycles = [0.0] * num_cores
+        busy_fractions = [0.0] * num_cores
         executed_by_task: Dict[int, float] = {}
         leftover_by_task: Dict[int, float] = {}
         task_index = {item.task.task_id: item.task for item in items}
-        for core in online:
-            capacity = core.capacity_cycles(dt_seconds, quota)
-            busy, executed, leftover = queues[core.core_id].execute(capacity)
-            busy_cycles[core.core_id] = busy
-            full_capacity = core.capacity_cycles(dt_seconds, 1.0)
-            busy_fractions[core.core_id] = busy / full_capacity if full_capacity else 0.0
+        # Executed and leftover cycles are positive, so starting a task's
+        # entry at the amount itself is bit-identical to summing from 0.0.
+        for core_id, queue in queues.items():
+            busy, executed, leftover = queue.execute(capacity[core_id])
+            busy_cycles[core_id] = busy
+            full = full_capacity[core_id]
+            busy_fractions[core_id] = busy / full if full else 0.0
             for task_id, cycles in executed.items():
-                executed_by_task[task_id] = executed_by_task.get(task_id, 0.0) + cycles
+                if task_id in executed_by_task:
+                    executed_by_task[task_id] += cycles
+                else:
+                    executed_by_task[task_id] = cycles
             for task_id, cycles in leftover.items():
-                leftover_by_task[task_id] = leftover_by_task.get(task_id, 0.0) + cycles
+                if task_id in leftover_by_task:
+                    leftover_by_task[task_id] += cycles
+                else:
+                    leftover_by_task[task_id] = cycles
 
         dropped = self._store_backlog(leftover_by_task, task_index, cluster, dt_seconds)
         return DispatchResult(
@@ -219,7 +242,7 @@ class LoadBalancingScheduler:
         if pending > 0 or total_free <= 0:
             overflow = item.total_cycles if total_free <= 0 else pending
             if overflow > 0:
-                target = max(remaining, key=lambda cid: remaining[cid])
+                target = max(remaining, key=remaining.__getitem__)
                 queues[target].assign(item.task, overflow)
 
     def _store_backlog(

@@ -67,32 +67,35 @@ class AndroidDefaultPolicy(CpuPolicy):
             self._governors.append(create_governor(self.governor_name))
 
     def decide(self, observation: SystemObservation) -> PolicyDecision:
-        self._ensure_governors(observation.num_cores)
-
+        num_cores = observation.num_cores
+        online_count = observation.online_count
+        self._ensure_governors(num_cores)
         # DVFS: each online core's governor picks its next OPP.
+        loads = observation.per_core_load_percent
+        frequencies = observation.frequencies_khz
+        tables = observation.core_opp_tables
         targets: List[Optional[float]] = []
         governor_reason: Optional[str] = None
-        for core_id in range(observation.num_cores):
-            if not observation.online_mask[core_id]:
+        for core_id, online in enumerate(observation.online_mask):
+            if not online:
                 targets.append(None)
                 continue
-            if observation.per_core_load_percent[core_id] < self.nohz_idle_threshold:
+            if loads[core_id] < self.nohz_idle_threshold:
                 # Tickless idle: no sample, frequency (and voltage) hold.
                 targets.append(None)
                 continue
             governor = self._governors[core_id]
             selected = governor.select(
                 GovernorInput(
-                    load_percent=observation.per_core_load_percent[core_id],
-                    current_khz=observation.frequencies_khz[core_id],
-                    opp_table=observation.opp_table_of(core_id),
+                    load_percent=loads[core_id],
+                    current_khz=frequencies[core_id],
+                    opp_table=tables[core_id],
                     dt_seconds=observation.dt_seconds,
                 )
             )
             if governor.last_reason is not None:
                 governor_reason = f"{self.governor_name}:{governor.last_reason}"
             targets.append(float(selected))
-
         # DCS: the hotplug driver adjusts the core count off the
         # fmax-normalised load, independently of the governor
         # (section 2.3: "neither unified nor coordinated").
@@ -101,24 +104,23 @@ class AndroidDefaultPolicy(CpuPolicy):
         if self.enable_hotplug:
             count = self.hotplug.target_count(
                 observation.total_scaled_load_percent,
-                observation.online_count,
-                observation.num_cores,
+                online_count,
+                num_cores,
             )
-            mask = [core_id < count for core_id in range(observation.num_cores)]
-            if count != observation.online_count:
-                reason = f"hotplug:{count - observation.online_count:+d}"
+            mask = [core_id < count for core_id in range(num_cores)]
+            if count != online_count:
+                reason = f"hotplug:{count - online_count:+d}"
             # A newly onlined core starts at the frequency its governor
             # last chose; give it the current maximum target so it can
             # absorb the load that triggered the online.
-            if count > observation.online_count:
-                for core_id in range(observation.num_cores):
+            if count > online_count:
+                for core_id in range(num_cores):
                     if mask[core_id] and not observation.online_mask[core_id]:
                         targets[core_id] = float(
                             max(t for t in targets if t is not None)
                             if any(t is not None for t in targets)
                             else observation.opp_table.max_frequency_khz
                         )
-
         return PolicyDecision(
             target_frequencies_khz=targets,
             online_mask=mask,

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..soc.opp import OppTable
@@ -68,7 +69,7 @@ class SystemObservation:
     @property
     def online_count(self) -> int:
         """Cores currently online."""
-        return sum(1 for on in self.online_mask if on)
+        return len([on for on in self.online_mask if on])
 
     def cluster_of(self, core_id: int) -> int:
         """The frequency-domain index of one core (0 when homogeneous)."""
@@ -87,6 +88,36 @@ class SystemObservation:
             return self.opp_table
         return self.cluster_opp_tables[self.cluster_of(core_id)]
 
+    # The per-core aggregates below are computed once, on first use, and
+    # kept on the instance: a policy may read them many times per decide.
+    # Each keeps the exact expression and summation order it always had.
+
+    def _domains(self) -> Tuple[Sequence[OppTable], Sequence[int]]:
+        """(table per domain, domain per core), as :meth:`opp_table_of` reads them."""
+        if not self.cluster_opp_tables:
+            return (self.opp_table,), (0,) * self.num_cores
+        return self.cluster_opp_tables, self.cluster_ids or (0,) * self.num_cores
+
+    @cached_property
+    def core_opp_tables(self) -> Tuple[OppTable, ...]:
+        """:meth:`opp_table_of` for every core, in core-id order."""
+        tables, domain_of = self._domains()
+        return tuple([tables[domain] for domain in domain_of])
+
+    @cached_property
+    def scaled_loads_percent(self) -> Tuple[float, ...]:
+        """:meth:`scaled_load_percent` for every core, in core-id order."""
+        tables, domain_of = self._domains()
+        domain_fmax = [table.max_frequency_khz for table in tables]
+        loads = self.per_core_load_percent
+        frequencies = self.frequencies_khz
+        return tuple(
+            [
+                loads[core_id] * frequencies[core_id] / domain_fmax[domain]
+                for core_id, domain in enumerate(domain_of)
+            ]
+        )
+
     def scaled_load_percent(self, core_id: int) -> float:
         """One core's load normalised to its own fmax capacity.
 
@@ -96,35 +127,32 @@ class SystemObservation:
         domain's ceiling, which on homogeneous platforms is the one
         global table's.
         """
-        fmax = self.opp_table_of(core_id).max_frequency_khz
-        return (
-            self.per_core_load_percent[core_id]
-            * self.frequencies_khz[core_id]
-            / fmax
-        )
+        return self.scaled_loads_percent[core_id]
 
-    @property
+    @cached_property
     def global_scaled_load_percent(self) -> float:
         """Average fmax-normalised load over online cores."""
         online = [
-            self.scaled_load_percent(core_id)
-            for core_id in range(self.num_cores)
-            if self.online_mask[core_id]
+            scaled
+            for scaled, on in zip(self.scaled_loads_percent, self.online_mask)
+            if on
         ]
         if not online:
             return 0.0
         return sum(online) / len(online)
 
-    @property
+    @cached_property
     def total_scaled_load_percent(self) -> float:
         """Sum of fmax-normalised loads: 100 per fully-busy fmax core.
 
         The demand measure hotplug drivers size the core count with.
         """
         return sum(
-            self.scaled_load_percent(core_id)
-            for core_id in range(self.num_cores)
-            if self.online_mask[core_id]
+            [
+                scaled
+                for scaled, on in zip(self.scaled_loads_percent, self.online_mask)
+                if on
+            ]
         )
 
 

@@ -205,9 +205,12 @@ class RunnerStats:
             parsing and were quarantined.
         failed_specs: Specs that never produced a summary.
         wall_seconds: Wall-clock duration of the whole :meth:`run` call.
-        spec_timings: Per-executed-spec ``(label, wall_seconds)`` pairs,
-            in completion order (label falls back to the workload/policy
-            description when the spec carries none).
+        spec_timings: ``(label, wall_seconds)`` pairs in completion
+            order: one per spec executed on its own (label falls back to
+            ``spec[<index>]`` when the spec carries none), and one per
+            batch group, labelled ``batched(<n>):<first member label>``
+            with the group's measured wall time — a batch runs its
+            members together, so it has no per-member timing.
         trace_bytes: Total columnar trace data recorded by executed
             sessions (zero on a fully warm cache).
         peak_recorder_bytes: Largest single-spec recorder memory
@@ -466,7 +469,7 @@ class SessionRunner:
                     f"batch entry {index} is {type(spec).__name__}, not SessionSpec"
                 )
             report.outcomes.append(
-                SpecOutcome(index=index, label=spec.label or f"spec[{index}]")
+                SpecOutcome(index=index, label=report_label(spec, index))
             )
             report.summaries.append(None)
 
@@ -631,6 +634,9 @@ class SessionRunner:
                     report.summaries[index] = execution.summary
                     self._record_executed(
                         index, specs[index], execution, keys[index], stats, batch_began
+                    )
+                    stats.spec_timings.append(
+                        (report_label(specs[index], index), execution.wall_seconds)
                     )
                     if outcome.attempts > 1:
                         outcome.escalate("retried")
@@ -908,7 +914,8 @@ class SessionRunner:
                 # Any batch-path failure is absorbed: the members stay
                 # pending and re-execute through the scalar path.
                 continue
-            share = (time.perf_counter() - started) / len(members)
+            wall = time.perf_counter() - started
+            share = wall / len(members)
             for position, index in enumerate(members):
                 execution = SpecExecution(
                     summary=summaries[position],
@@ -932,6 +939,10 @@ class SessionRunner:
                         source="batch",
                         wall_seconds=share,
                     )
+            # One timing per group: its members ran together.
+            first = members[0]
+            group_label = f"batched({len(members)}):{report_label(specs[first], first)}"
+            stats.spec_timings.append((group_label, wall))
             handled.update(members)
             if heartbeat is not None:
                 heartbeat.progress()
@@ -954,8 +965,7 @@ class SessionRunner:
         stats.peak_recorder_bytes = max(
             stats.peak_recorder_bytes, execution.peak_recorder_bytes
         )
-        label = spec.label or f"spec[{index}]"
-        stats.spec_timings.append((label, execution.wall_seconds))
+        label = report_label(spec, index)
         self._tell(
             batch_began,
             RunnerSessionEvent,

@@ -10,7 +10,7 @@ MobiCore consume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .core_state import CoreState
 from .cpu_core import CpuCore
@@ -54,10 +54,10 @@ class CpuCluster:
         self.cluster_id = cluster_id
         self.name = name
         self.ipc_scale = ipc_scale
-        self._cores: List[CpuCore] = [
+        self._cores: Tuple[CpuCore, ...] = tuple(
             CpuCore(first_core_id + i, opp_table, ipc_scale=ipc_scale)
             for i in range(num_cores)
-        ]
+        )
 
     def __len__(self) -> int:
         return len(self._cores)
@@ -71,7 +71,7 @@ class CpuCluster:
     @property
     def cores(self) -> Sequence[CpuCore]:
         """All cores, ordered by (global) core id."""
-        return tuple(self._cores)
+        return self._cores
 
     @property
     def max_frequency_khz(self) -> int:

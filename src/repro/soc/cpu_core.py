@@ -38,14 +38,25 @@ class CpuCore:
         self.opp_table = opp_table
         self.ipc_scale = ipc_scale
         self._state = CoreState.IDLE
-        self._frequency_khz = opp_table.min_frequency_khz
-        self._busy_fraction = 0.0
+        # The three values every tick reads are plain attributes, so hot
+        # loops read them without a property call.  They are read-only by
+        # contract: only this class's methods write them.
+        #: True when the scheduler may place work here (ACTIVE or IDLE);
+        #: kept in step with the state by :meth:`set_state`, the only
+        #: place a core enters or leaves OFFLINE.
+        self.is_online = True
+        #: Current OPP frequency in kHz (written by :meth:`set_frequency`
+        #: and :meth:`set_target_frequency`, which keep it a table entry).
+        self.frequency_khz = opp_table.min_frequency_khz
+        #: Fraction of the last tick this core spent executing (0-1),
+        #: written by :meth:`account` (and zeroed when offlined).
+        self.busy_fraction = 0.0
         self._transition_count = 0
 
     def __repr__(self) -> str:
         return (
             f"CpuCore(id={self.core_id}, state={self._state.value}, "
-            f"freq={self._frequency_khz} kHz, busy={self._busy_fraction:.2f})"
+            f"freq={self.frequency_khz} kHz, busy={self.busy_fraction:.2f})"
         )
 
     # -- state ---------------------------------------------------------
@@ -54,11 +65,6 @@ class CpuCore:
     def state(self) -> CoreState:
         """Current power state."""
         return self._state
-
-    @property
-    def is_online(self) -> bool:
-        """True when the scheduler may place work here."""
-        return self._state.is_online
 
     @property
     def transition_count(self) -> int:
@@ -81,16 +87,12 @@ class CpuCore:
         if new_state is not self._state:
             self._transition_count += 1
         self._state = new_state
+        self.is_online = new_state is not CoreState.OFFLINE
         if new_state is CoreState.OFFLINE:
-            self._busy_fraction = 0.0
+            self.busy_fraction = 0.0
         return latency
 
     # -- frequency -----------------------------------------------------
-
-    @property
-    def frequency_khz(self) -> int:
-        """Current OPP frequency in kHz."""
-        return self._frequency_khz
 
     @property
     def max_frequency_khz(self) -> int:
@@ -100,7 +102,7 @@ class CpuCore:
     @property
     def opp(self) -> Opp:
         """Current OPP (frequency and voltage)."""
-        return self.opp_table.at(self._frequency_khz)
+        return self.opp_table.at(self.frequency_khz)
 
     @property
     def voltage(self) -> float:
@@ -117,7 +119,7 @@ class CpuCore:
             raise OppError(
                 f"core {self.core_id}: {frequency_khz} kHz is not an OPP of {self.opp_table!r}"
             )
-        self._frequency_khz = frequency_khz
+        self.frequency_khz = frequency_khz
 
     def set_target_frequency(self, target_khz: float, round_up: bool = True) -> int:
         """Quantise *target_khz* onto the OPP table and apply it.
@@ -128,15 +130,10 @@ class CpuCore:
         Returns the frequency actually set.
         """
         opp = self.opp_table.ceil(target_khz) if round_up else self.opp_table.floor(target_khz)
-        self._frequency_khz = opp.frequency_khz
+        self.frequency_khz = opp.frequency_khz
         return opp.frequency_khz
 
     # -- per-tick accounting --------------------------------------------
-
-    @property
-    def busy_fraction(self) -> float:
-        """Fraction of the last tick this core spent executing (0-1)."""
-        return self._busy_fraction
 
     def capacity_cycles(self, dt_seconds: float, quota: float = 1.0) -> float:
         """Reference cycles this core can retire in *dt_seconds* under a quota.
@@ -151,7 +148,7 @@ class CpuCore:
         require_fraction(quota, "quota")
         if not self.is_online:
             return 0.0
-        return self._frequency_khz * 1000.0 * dt_seconds * quota * self.ipc_scale
+        return self.frequency_khz * 1000.0 * dt_seconds * quota * self.ipc_scale
 
     def account(self, busy_fraction: float) -> None:
         """Record the busy fraction for the tick and update ACTIVE/IDLE state.
@@ -165,7 +162,7 @@ class CpuCore:
                 raise CoreStateError(
                     f"core {self.core_id} is offline but was accounted busy={busy_fraction}"
                 )
-            self._busy_fraction = 0.0
+            self.busy_fraction = 0.0
             return
-        self._busy_fraction = busy_fraction
+        self.busy_fraction = busy_fraction
         self._state = CoreState.ACTIVE if busy_fraction > 0.0 else CoreState.IDLE

@@ -9,6 +9,7 @@ floor/ceil/step lookups every governor needs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -175,23 +176,20 @@ class OppTable:
         Targets below the table minimum clamp to the minimum OPP -- a
         governor asking for less than fmin still gets fmin, as in cpufreq.
         """
-        chosen = self._opps[0]
-        for opp in self._opps:
-            if opp.frequency_khz <= target_khz:
-                chosen = opp
-            else:
-                break
-        return chosen
+        # ``not >=`` (rather than ``<``) also sends a NaN target here.
+        if not target_khz >= self._frequencies[0]:
+            return self._opps[0]
+        return self._opps[bisect_right(self._frequencies, target_khz) - 1]
 
     def ceil(self, target_khz: float) -> Opp:
         """Lowest OPP whose frequency is at least *target_khz*.
 
         Targets above the table maximum clamp to the maximum OPP.
         """
-        for opp in self._opps:
-            if opp.frequency_khz >= target_khz:
-                return opp
-        return self._opps[-1]
+        # ``not <=`` (rather than ``>``) also sends a NaN target here.
+        if not target_khz <= self._frequencies[-1]:
+            return self._opps[-1]
+        return self._opps[bisect_left(self._frequencies, target_khz)]
 
     def step_up(self, frequency_khz: int, steps: int = 1) -> Opp:
         """Move *steps* table entries up from an exact frequency (clamped)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from .cpu_cluster import CpuCluster
 from .opp import Opp, OppTable
@@ -144,6 +144,17 @@ class CpuPowerModel:
     def __init__(self, params: PowerParams, opp_table: OppTable) -> None:
         self.params = params
         self.opp_table = opp_table
+        # The live breakdown's per-OPP terms, evaluated once with the
+        # same expressions: fully-busy dynamic power, static power and
+        # the position within [fmin, fmax], keyed by frequency.
+        self._opp_terms: Dict[int, Tuple[float, float, float]] = {
+            opp.frequency_khz: (
+                self.dynamic_power_mw(opp),
+                self.static_power_mw(opp),
+                opp_table.span_fraction(opp.frequency_khz),
+            )
+            for opp in opp_table
+        }
 
     # -- per-component terms ----------------------------------------------
 
@@ -183,31 +194,43 @@ class CpuPowerModel:
     # -- live cluster evaluation --------------------------------------------
 
     def breakdown(self, cluster: CpuCluster, uncore_mw: float = 0.0) -> PowerBreakdown:
-        """Itemised platform power for the cluster's current tick state."""
+        """Itemised platform power for the cluster's current tick state.
+
+        The cluster must run on this model's OPP ladder (checked once per
+        call); each core's terms are then one lookup by frequency.
+        """
         require_non_negative(uncore_mw, "uncore_mw")
+        if cluster.opp_table is not self.opp_table and cluster.opp_table != self.opp_table:
+            raise ConfigError(
+                f"cluster {cluster.name!r} runs on {cluster.opp_table!r}, "
+                f"not this model's {self.opp_table!r}"
+            )
+        terms = self._opp_terms
         per_core = []
         dynamic = 0.0
         static = 0.0
-        online = cluster.online_cores
+        online_spans = []
+        online_busy = []
         for core in cluster.cores:
             if not core.is_online:
                 per_core.append(0.0)
                 continue
-            opp = core.opp
-            d = core.busy_fraction * self.dynamic_power_mw(opp)
-            s = self.static_power_mw(opp)
+            busy_dynamic, s, span = terms[core.frequency_khz]
+            busy = core.busy_fraction
+            d = busy * busy_dynamic
             dynamic += d
             static += s
             per_core.append(d + s)
-        if online:
-            mean_freq_fraction = sum(
-                self.opp_table.span_fraction(c.frequency_khz) for c in online
-            ) / len(online)
-            mean_busy = sum(c.busy_fraction for c in online) / len(online)
+            online_spans.append(span)
+            online_busy.append(busy)
+        online_count = len(online_busy)
+        if online_count:
+            mean_freq_fraction = sum(online_spans) / online_count
+            mean_busy = sum(online_busy) / online_count
         else:
             mean_freq_fraction = 0.0
             mean_busy = 0.0
-        overhead = self.cluster_overhead_mw(len(online), mean_freq_fraction)
+        overhead = self.cluster_overhead_mw(online_count, mean_freq_fraction)
         cache = self.cache_power_mw(mean_busy, mean_freq_fraction)
         return PowerBreakdown(
             per_core_mw=per_core,

@@ -127,6 +127,18 @@ class CpuTopology:
         self._cluster_of: Tuple[CpuCluster, ...] = tuple(
             cluster for cluster in self.clusters for _ in cluster.cores
         )
+        # The structure never changes after construction, so its
+        # per-core and per-domain views are built once, here.
+        self._cluster_ids: Tuple[int, ...] = tuple(
+            cluster.cluster_id for cluster in self._cluster_of
+        )
+        self._opp_tables: Tuple[OppTable, ...] = tuple(
+            cluster.opp_table for cluster in self.clusters
+        )
+        self._is_heterogeneous = len(self.clusters) > 1
+        self._max_frequency_khz = max(
+            cluster.opp_table.max_frequency_khz for cluster in self.clusters
+        )
 
     def __len__(self) -> int:
         return len(self._cores)
@@ -148,7 +160,7 @@ class CpuTopology:
     @property
     def is_heterogeneous(self) -> bool:
         """True when more than one frequency domain exists."""
-        return len(self.clusters) > 1
+        return self._is_heterogeneous
 
     @property
     def cores(self) -> Sequence[CpuCore]:
@@ -180,12 +192,17 @@ class CpuTopology:
     @property
     def cluster_ids(self) -> Tuple[int, ...]:
         """Per-core cluster index, in global core-id order."""
-        return tuple(cluster.cluster_id for cluster in self._cluster_of)
+        return self._cluster_ids
+
+    @property
+    def opp_tables(self) -> Tuple[OppTable, ...]:
+        """DVFS table per frequency domain, indexed by cluster id."""
+        return self._opp_tables
 
     @property
     def max_frequency_khz(self) -> int:
         """The fastest fmax over all clusters (backlog-cap reference)."""
-        return max(cluster.opp_table.max_frequency_khz for cluster in self.clusters)
+        return self._max_frequency_khz
 
     # -- online mask -----------------------------------------------------
 

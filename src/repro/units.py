@@ -21,6 +21,8 @@ numbers keeps numpy interop trivial.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import UnitsError
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "require_non_negative",
     "require_fraction",
     "require_percent",
+    "require_percents",
     "percent_to_fraction",
     "fraction_to_percent",
 ]
@@ -110,6 +113,17 @@ def require_percent(value: float, name: str) -> float:
     if not 0.0 <= value <= 100.0:
         raise UnitsError(f"{name} must lie in [0, 100], got {value!r}")
     return value
+
+
+def require_percents(values: Sequence[float], name: str) -> Sequence[float]:
+    """Validate that every entry of *values* lies in [0, 100], returning it.
+
+    One call per sequence, for per-core checks on the tick path.
+    """
+    for value in values:
+        if not 0.0 <= value <= 100.0:
+            raise UnitsError(f"{name} must lie in [0, 100], got {value!r}")
+    return values
 
 
 def percent_to_fraction(value: float) -> float:

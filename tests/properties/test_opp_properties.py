@@ -24,6 +24,31 @@ def opp_tables(draw):
 
 targets = st.floats(min_value=0.0, max_value=5_000_000.0, allow_nan=False)
 
+#: Any target a caller could pass: ints, floats, infinities and NaN.
+any_targets = st.one_of(
+    st.integers(min_value=-10, max_value=5_000_000),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def scan_floor(table, target):
+    """The ascending table scan ``OppTable.floor`` replaced (reference)."""
+    chosen = table.min
+    for opp in table:
+        if opp.frequency_khz <= target:
+            chosen = opp
+        else:
+            break
+    return chosen
+
+
+def scan_ceil(table, target):
+    """The ascending table scan ``OppTable.ceil`` replaced (reference)."""
+    for opp in table:
+        if opp.frequency_khz >= target:
+            return opp
+    return table.max
+
 
 class TestTableInvariants:
     @given(table=opp_tables())
@@ -58,6 +83,18 @@ class TestTableInvariants:
         floor_index = table.index_of(table.floor(target).frequency_khz)
         ceil_index = table.index_of(table.ceil(target).frequency_khz)
         assert ceil_index - floor_index in (0, 1)
+
+    @given(table=opp_tables(), target=any_targets)
+    def test_bisection_matches_the_table_scan(self, table, target):
+        assert table.floor(target) is scan_floor(table, target)
+        assert table.ceil(target) is scan_ceil(table, target)
+
+    @given(table=opp_tables(), data=st.data())
+    def test_bisection_matches_the_scan_at_boundaries(self, table, data):
+        frequency = data.draw(st.sampled_from(table.frequencies_khz))
+        for target in (frequency, frequency - 1, frequency + 1, frequency - 0.5, frequency + 0.5):
+            assert table.floor(target) is scan_floor(table, target)
+            assert table.ceil(target) is scan_ceil(table, target)
 
     @given(table=opp_tables())
     def test_lookups_are_idempotent(self, table):

@@ -98,6 +98,36 @@ class TestBatchedRunner:
         assert cold.last_stats.cache_hits == 3
         assert cold.last_stats.sessions_executed == 0
 
+    def test_a_batch_group_is_timed_once_with_its_wall(self):
+        # A batch runs its members together: spec_timings holds one
+        # entry for the group, carrying the group's measured wall time
+        # (each member's session event carries an equal share of it).
+        from repro.obs.events import RunnerSessionEvent
+
+        specs = [sweep_spec(index) for index in range(3)]
+        runner = SessionRunner(batch=True)
+        report = runner.run_report(specs)
+        report.raise_on_failure()
+        assert [outcome.detail for outcome in report.outcomes] == ["batched(3)"] * 3
+        timings = runner.last_stats.spec_timings
+        assert len(timings) == 1
+        label, wall = timings[0]
+        assert label == "batched(3):s0"
+        shares = [
+            event.wall_seconds
+            for event in runner.telemetry
+            if isinstance(event, RunnerSessionEvent)
+        ]
+        assert len(shares) == 3 and len(set(shares)) == 1
+        assert wall > 0.0
+        assert wall == pytest.approx(3 * shares[0], rel=1e-12)
+
+    def test_unbatched_specs_are_timed_one_by_one(self):
+        specs = [sweep_spec(0), sweep_spec(1, faults=faulted_plan())]
+        runner = SessionRunner(batch=True)
+        runner.run_report(specs).raise_on_failure()
+        assert [label for label, _ in runner.last_stats.spec_timings] == ["s0", "s1"]
+
     def test_single_spec_groups_use_the_normal_path(self):
         report = SessionRunner(batch=True).run_report([sweep_spec(0)])
         assert report.outcomes[0].detail == ""
