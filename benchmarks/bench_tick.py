@@ -12,7 +12,8 @@ This bench
    {android-default, mobicore, energy-aware} on the golden
    ``game:asphalt8`` session (10 s, 500 ticks), records
    * the min over ``REPEATS`` (9) runs of µs per tick (wall time of
-     ``Session.run`` over its ticks);
+     ``Session.run`` over its ticks; the runs go round-robin over the
+     rows);
    * Python calls per tick: cProfile's ``total_calls`` over one run,
      divided by its ticks.  The count is deterministic for a given
      interpreter, unlike wall time on a shared host.
@@ -85,27 +86,33 @@ def build_session(scenario_doc):
     )
 
 
-def measure_row(scenario_doc):
-    """Min-of-``REPEATS`` µs per tick and cProfile calls per tick."""
-    walls = []
+def measure_rows(golden):
+    """Min-of-``REPEATS`` µs per tick and cProfile calls per tick, per row.
+
+    The timed runs go round-robin over the rows, so a slow spell of the
+    host lands on every row instead of on one.
+    """
+    walls = {label: [] for label in ROWS}
     for _ in range(REPEATS):
-        session = build_session(scenario_doc)
-        began = time.perf_counter()
+        for label in ROWS:
+            session = build_session(golden[label]["scenario"])
+            began = time.perf_counter()
+            session.run()
+            walls[label].append((time.perf_counter() - began) / session.ticks_run)
+    rows = {}
+    for label in ROWS:
+        session = build_session(golden[label]["scenario"])
+        profile = cProfile.Profile()
+        profile.enable()
         session.run()
-        walls.append(time.perf_counter() - began)
-    ticks = session.ticks_run
-    session = build_session(scenario_doc)
-    profile = cProfile.Profile()
-    profile.enable()
-    session.run()
-    profile.disable()
-    calls = pstats.Stats(profile).total_calls
-    return {
-        "ticks": ticks,
-        "runs": REPEATS,
-        "us_per_tick_min": min(walls) * 1e6 / ticks,
-        "calls_per_tick": calls / session.ticks_run,
-    }
+        profile.disable()
+        rows[label] = {
+            "ticks": session.ticks_run,
+            "runs": REPEATS,
+            "us_per_tick_min": min(walls[label]) * 1e6,
+            "calls_per_tick": pstats.Stats(profile).total_calls / session.ticks_run,
+        }
+    return rows
 
 
 def run_tick_benchmark():
@@ -116,7 +123,7 @@ def run_tick_benchmark():
         "parity_points": points,
         "max_us": MAX_US,
         "python": "{}.{}".format(*sys.version_info[:2]),
-        "rows": {label: measure_row(golden[label]["scenario"]) for label in ROWS},
+        "rows": measure_rows(golden),
     }
 
 

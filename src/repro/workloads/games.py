@@ -117,23 +117,25 @@ class GameWorkload(Workload):
     def _advance_worker(self, index: int) -> float:
         """One OU + burst step for a worker; returns its load percent."""
         profile = self.profile
+        rng = self.rng
         level = self._worker_levels[index]
         level += profile.worker_theta * (profile.worker_mean_percent - level)
-        level += profile.worker_sigma * float(self.rng.standard_normal())
+        level += profile.worker_sigma * float(rng.standard_normal())
         level = clamp(level, 0.0, 100.0)
         self._worker_levels[index] = level
         if self._worker_bursting[index]:
-            if self.rng.random() < 1.0 / profile.mean_burst_ticks:
+            if rng.random() < 1.0 / profile.mean_burst_ticks:
                 self._worker_bursting[index] = False
-        elif profile.burst_start_prob > 0 and self.rng.random() < profile.burst_start_prob:
+        elif profile.burst_start_prob > 0 and rng.random() < profile.burst_start_prob:
             self._worker_bursting[index] = True
         if self._worker_bursting[index]:
             level = clamp(level + profile.burst_add_percent, 0.0, 100.0)
         return level
 
     def demand(self, tick: int) -> List[TaskDemand]:
-        dt = self.context.dt_seconds
-        core_cycles = self.context.core_max_cycles_per_tick
+        context = self.context
+        dt = context.dt_seconds
+        core_cycles = context.core_max_cycles_per_tick
         demands = [
             TaskDemand(task=self._render_task, cycles=self.pipeline.demand_cycles(dt))
         ]
