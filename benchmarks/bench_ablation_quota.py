@@ -7,32 +7,20 @@ load.
 """
 
 from repro.analysis.comparison import PolicyComparison
-from repro.core.mobicore import MobiCorePolicy
-from repro.soc.catalog import nexus5_spec
-from repro.workloads.busyloop import BusyLoopApp
-
-
-def _mobicore(spec, use_quota):
-    return MobiCorePolicy(
-        power_params=spec.power_params,
-        opp_table=spec.opp_table,
-        num_cores=spec.num_cores,
-        use_quota=use_quota,
-    )
+from repro.scenario import policy_ref, workload_ref
 
 
 def run_quota_ablation(config):
-    spec = nexus5_spec()
     comparison = PolicyComparison(
-        spec,
-        baseline_factory=lambda: _mobicore(spec, use_quota=False),
-        candidate_factory=lambda: _mobicore(spec, use_quota=True),
+        "Nexus 5",
+        baseline_factory=policy_ref("mobicore", platform="Nexus 5", use_quota=False),
+        candidate_factory=policy_ref("mobicore", platform="Nexus 5", use_quota=True),
         config=config,
         pin_uncore_max=False,
     )
     return {
-        "light": comparison.compare(lambda: BusyLoopApp(20.0)),
-        "heavy": comparison.compare(lambda: BusyLoopApp(90.0)),
+        "light": comparison.compare(workload_ref("busyloop", target_load_percent=20.0)),
+        "heavy": comparison.compare(workload_ref("busyloop", target_load_percent=90.0)),
     }
 
 

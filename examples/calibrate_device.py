@@ -18,7 +18,7 @@ from repro import (
     MobiCorePolicy,
     Platform,
     SimulationConfig,
-    Simulator,
+    Session,
     nexus5_spec,
     summarize,
 )
@@ -57,7 +57,7 @@ def main() -> None:
     def session(policy_factory):
         platform = Platform.from_spec(spec)
         return summarize(
-            Simulator(
+            Session(
                 platform, BusyLoopApp(30.0), policy_factory(platform), config,
                 pin_uncore_max=False,
             ).run()

@@ -14,7 +14,7 @@ from repro import (
     MobiCorePolicy,
     Platform,
     SimulationConfig,
-    Simulator,
+    Session,
     game_workload,
     nexus5_spec,
     summarize,
@@ -24,10 +24,10 @@ from repro import (
 def run_session(policy_factory, config):
     platform = Platform.from_spec(nexus5_spec())
     policy = policy_factory(platform)
-    simulator = Simulator(
+    session = Session(
         platform, game_workload("Subway Surf"), policy, config
     )
-    return summarize(simulator.run())
+    return summarize(session.run())
 
 
 def main() -> None:

@@ -8,6 +8,7 @@ series the way the paper's figures tabulate them.
 
 from .sweep import (
     run_session,
+    run_grid,
     summary_columns,
     summary_columns_from_store,
     utilization_sweep,
@@ -48,6 +49,7 @@ __all__ = [
     "battery_life_hours",
     "extra_minutes",
     "run_session",
+    "run_grid",
     "summary_columns",
     "summary_columns_from_store",
     "utilization_sweep",

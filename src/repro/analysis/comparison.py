@@ -8,11 +8,10 @@ saving, FPS ratio, frequency reduction, core-count difference, load
 difference.
 
 All sessions execute through a
-:class:`~repro.runner.runner.SessionRunner`, so a comparison built from
-portable pieces (a catalog platform name plus
-:class:`~repro.runner.spec.FactoryRef` factories) parallelises over the
-runner's worker pool and hits its on-disk cache; plain callables still
-work and simply run serially in-process.
+:class:`~repro.runner.runner.SessionRunner`: a comparison is built from
+a catalog platform name (or ref) plus
+:class:`~repro.runner.spec.FactoryRef` factories, so it parallelises
+over the runner's worker pool and hits its on-disk cache.
 
 Comparisons can also be rebuilt *without* running anything:
 :func:`comparison_rows_from_store` reads both policies' summaries back
@@ -35,9 +34,7 @@ from ..faults.plan import FaultPlan
 from ..kernel.trace_buffer import sequential_sum
 from ..metrics.summary import SessionSummary
 from ..runner.runner import SessionRunner, default_runner
-from ..runner.spec import FactoryLike, FactoryRef, PlatformLike, SessionSpec
-from ..soc.catalog import get_phone_spec
-from ..soc.platform import PlatformSpec
+from ..runner.spec import FactoryRef, PlatformLike, SessionSpec
 
 __all__ = [
     "ComparisonRow",
@@ -172,11 +169,10 @@ class PolicyComparison:
     """Runs baseline and candidate policies on identical workloads.
 
     Args:
-        spec: Platform to simulate — a live :class:`PlatformSpec`, a
-            catalog phone name, or a :class:`FactoryRef`.  Named forms
-            keep the comparison portable (parallelisable, cacheable).
-        baseline_factory / candidate_factory: Build a *fresh* policy per
-            session (policies are stateful); refs or plain callables.
+        spec: Platform to simulate — a catalog phone name or a
+            :class:`FactoryRef`.
+        baseline_factory / candidate_factory: Refs building a *fresh*
+            policy per session (policies are stateful).
         config: Session configuration; the seed is varied per trial.
         pin_uncore_max: Experiment constraint (games pin the GPU high).
         runner: Execution service; defaults to the process-wide default
@@ -190,8 +186,8 @@ class PolicyComparison:
     def __init__(
         self,
         spec: PlatformLike,
-        baseline_factory: FactoryLike,
-        candidate_factory: FactoryLike,
+        baseline_factory: FactoryRef,
+        candidate_factory: FactoryRef,
         config: Optional[SimulationConfig] = None,
         pin_uncore_max: bool = True,
         runner: Optional[SessionRunner] = None,
@@ -205,20 +201,11 @@ class PolicyComparison:
         self.runner = runner
         self.faults = faults
 
-    @property
-    def spec(self) -> PlatformSpec:
-        """The resolved platform datasheet (kept for existing callers)."""
-        if isinstance(self.platform, PlatformSpec):
-            return self.platform
-        if isinstance(self.platform, FactoryRef):
-            return self.platform.resolve()
-        return get_phone_spec(self.platform)
-
     def _runner(self) -> SessionRunner:
         return self.runner if self.runner is not None else default_runner()
 
     def _pair(
-        self, workload_factory: FactoryLike, config: SimulationConfig
+        self, workload_factory: FactoryRef, config: SimulationConfig
     ) -> List[SessionSpec]:
         """The (baseline, candidate) spec pair for one workload and seed."""
         return [
@@ -239,7 +226,7 @@ class PolicyComparison:
         return comparison_rows(summaries)
 
     def compare(
-        self, workload_factory: FactoryLike, seed: Optional[int] = None
+        self, workload_factory: FactoryRef, seed: Optional[int] = None
     ) -> ComparisonRow:
         """One A/B run: same workload construction, same seed, two policies."""
         config = self.config if seed is None else self.config.with_seed(seed)
@@ -247,7 +234,7 @@ class PolicyComparison:
         return self._rows(summaries)[0]
 
     def compare_seeds(
-        self, workload_factory: FactoryLike, seeds: Sequence[int]
+        self, workload_factory: FactoryRef, seeds: Sequence[int]
     ) -> List[ComparisonRow]:
         """Repeat the A/B run over several seeds (trial averaging).
 
@@ -263,7 +250,7 @@ class PolicyComparison:
 
     def compare_matrix(
         self,
-        workload_factories: Mapping[str, FactoryLike],
+        workload_factories: Mapping[str, FactoryRef],
         seeds: Sequence[int],
     ) -> Dict[str, List[ComparisonRow]]:
         """The full (workload x seed x policy) matrix as ONE runner batch.

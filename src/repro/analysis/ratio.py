@@ -18,11 +18,9 @@ from typing import List, Optional, Sequence
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..metrics.summary import summarize
-from ..policies.static import StaticPolicy
-from ..soc.platform import PlatformSpec
-from ..workloads.geekbench import GeekbenchWorkload
-from .sweep import run_session
+from ..scenario.registry import workload_ref
+from ..soc.catalog import get_phone_spec
+from .sweep import frequency_sweep
 
 __all__ = ["RatioPoint", "performance_power_ratio"]
 
@@ -45,17 +43,19 @@ class RatioPoint:
 
 
 def performance_power_ratio(
-    spec: PlatformSpec,
+    platform: str,
     online_count: int,
     frequencies_khz: Optional[Sequence[int]] = None,
     config: Optional[SimulationConfig] = None,
 ) -> List[RatioPoint]:
     """Score and power at every requested OPP for a fixed core count.
 
-    Defaults to the full OPP ladder.  The GPU/memory stay unpinned so the
-    ratio reflects CPU behaviour (the paper subtracts stable uncore
-    terms).
+    *platform* is a catalog phone name; the whole ladder runs as one
+    :func:`~repro.analysis.sweep.frequency_sweep` batch.  Defaults to
+    the full OPP ladder.  The GPU/memory stay unpinned so the ratio
+    reflects CPU behaviour (the paper subtracts stable uncore terms).
     """
+    spec = get_phone_spec(platform)
     if online_count < 1 or online_count > spec.num_cores:
         raise ExperimentError(
             f"online_count {online_count} out of range 1..{spec.num_cores}"
@@ -64,22 +64,20 @@ def performance_power_ratio(
         frequencies_khz = spec.opp_table.frequencies_khz
     if config is None:
         config = SimulationConfig(duration_seconds=20.0, warmup_seconds=1.0)
-    points: List[RatioPoint] = []
-    for frequency in frequencies_khz:
-        result = run_session(
-            spec,
-            GeekbenchWorkload(),
-            StaticPolicy(online_count, frequency),
-            config,
-            pin_uncore_max=False,
+    summaries = frequency_sweep(
+        platform,
+        online_count,
+        frequencies_khz,
+        utilization_percent=100.0,
+        config=config,
+        workload_factory=workload_ref("geekbench"),
+    )
+    return [
+        RatioPoint(
+            frequency_khz=frequency,
+            online_count=online_count,
+            score=summary.workload_metrics["score"],
+            mean_power_mw=summary.mean_power_mw,
         )
-        summary = summarize(result)
-        points.append(
-            RatioPoint(
-                frequency_khz=frequency,
-                online_count=online_count,
-                score=result.workload_metrics["score"],
-                mean_power_mw=summary.mean_power_mw,
-            )
-        )
-    return points
+        for frequency, summary in zip(frequencies_khz, summaries)
+    ]

@@ -3,35 +3,36 @@
 The section 3 characterisation experiments are sweeps: utilization at
 fixed operating points (Figure 3), core count at fixed frequency
 (Figure 4), frequency at fixed load (Figures 5-7).  Each sweep builds a
-batch of declarative :class:`~repro.runner.spec.SessionSpec` and hands
-it to a :class:`~repro.runner.runner.SessionRunner`, so grid points run
-in parallel (and cache) whenever the platform is given by catalog name
-or ref; a live :class:`PlatformSpec` still works and runs in-process.
+batch of declarative :class:`~repro.runner.spec.SessionSpec` — platform
+by catalog name or ref, policy and workload by registry ref — and hands
+it to a :class:`~repro.runner.runner.SessionRunner` as one batch, so
+grid points are memoised, cached, batched and run in parallel.
 
 :func:`run_session` remains the single-session primitive for callers
-that need the *full trace* (fitting, thermal, operating-point drivers) —
-traces never cross process boundaries, so it executes directly.
+that need the *full trace* (fitting, the thermal figure) — traces never
+cross process boundaries, so it executes directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..kernel.simulator import SessionResult, Simulator
+from ..kernel.engine import Session, SessionResult
 from ..metrics.summary import SessionSummary
 from ..policies.base import CpuPolicy
 from ..runner.runner import SessionRunner, default_runner
-from ..runner.spec import FactoryLike, FactoryRef, PlatformLike, SessionSpec
+from ..runner.spec import FactoryRef, PlatformLike, SessionSpec
 from ..scenario.registry import policy_ref, workload_ref
 from ..soc.platform import Platform, PlatformSpec
 from ..workloads.base import Workload
 
 __all__ = [
     "run_session",
+    "run_grid",
     "summary_columns",
     "summary_columns_from_store",
     "utilization_sweep",
@@ -118,11 +119,9 @@ def run_session(
     A new :class:`Platform` per session keeps sweeps independent -- no
     thermal or hotplug state leaks between grid points.
     """
-    platform = Platform.from_spec(spec)
-    simulator = Simulator(
-        platform, workload, policy, config, pin_uncore_max=pin_uncore_max
-    )
-    return simulator.run()
+    return Session(
+        Platform.from_spec(spec), workload, policy, config, pin_uncore_max=pin_uncore_max
+    ).run()
 
 
 def _static_policy_ref(online_count: int, frequency_khz: int) -> FactoryRef:
@@ -142,38 +141,35 @@ def _busyloop_ref(
     )
 
 
-def _factory_label(factory: FactoryLike) -> str:
-    """``name(k=v,...)`` for a ref; the callable's name otherwise."""
-    if isinstance(factory, FactoryRef):
-        params = ",".join(f"{name}={value}" for name, value in factory.kwargs)
-        return f"{factory.target.rpartition(':')[2]}({params})"
-    return getattr(factory, "__name__", type(factory).__name__)
+def _factory_label(factory: FactoryRef) -> str:
+    """``name(k=v,...)`` for a ref."""
+    params = ",".join(f"{name}={value}" for name, value in factory.kwargs)
+    return f"{factory.target.rpartition(':')[2]}({params})"
 
 
-def _run_grid(
-    spec: PlatformLike,
-    points: Sequence[tuple],
-    config: Optional[SimulationConfig],
-    pin_uncore_max: bool,
-    runner: Optional[SessionRunner],
+def run_grid(
+    points: Sequence[Tuple[PlatformLike, FactoryRef, FactoryRef]],
+    config: Optional[SimulationConfig] = None,
+    pin_uncore_max: bool = False,
+    runner: Optional[SessionRunner] = None,
 ) -> List[SessionSummary]:
-    """Execute (policy, workload) grid points as one runner batch.
+    """Execute (platform, policy, workload) grid points as one runner batch.
 
     Each spec is labelled with its policy and workload parameters, so
     heartbeats and metrics name the grid point; the label is not part
-    of the cache key.
+    of the cache key.  Summaries come back in point order.
     """
     config = config if config is not None else SimulationConfig()
     batch = [
         SessionSpec(
-            platform=spec,
+            platform=platform,
             policy=policy,
             workload=workload,
             config=config,
             pin_uncore_max=pin_uncore_max,
             label=f"{_factory_label(policy)} {_factory_label(workload)}",
         )
-        for policy, workload in points
+        for platform, policy, workload in points
     ]
     active = runner if runner is not None else default_runner()
     return active.run(batch)
@@ -198,6 +194,7 @@ def utilization_sweep(
         raise ExperimentError("utilization sweep needs at least one level")
     points = [
         (
+            spec,
             _static_policy_ref(online_count, frequency_khz),
             _busyloop_ref(
                 level, num_threads=online_count, reference_frequency_khz=frequency_khz
@@ -205,7 +202,7 @@ def utilization_sweep(
         )
         for level in utilization_percents
     ]
-    return _run_grid(spec, points, config, pin_uncore_max, runner)
+    return run_grid(points, config, pin_uncore_max, runner)
 
 
 def frequency_sweep(
@@ -214,7 +211,7 @@ def frequency_sweep(
     frequencies_khz: Sequence[int],
     utilization_percent: float,
     config: Optional[SimulationConfig] = None,
-    workload_factory: Optional[FactoryLike] = None,
+    workload_factory: Optional[FactoryRef] = None,
     pin_uncore_max: bool = False,
     runner: Optional[SessionRunner] = None,
 ) -> List[SessionSummary]:
@@ -222,20 +219,20 @@ def frequency_sweep(
 
     ``workload_factory`` substitutes a different demand generator (e.g.
     the GeekBench-like benchmark for Figures 6-7); the default is the
-    busy-loop app at *utilization_percent*.  Pass a
-    :class:`FactoryRef` to keep the sweep portable.
+    busy-loop app at *utilization_percent*.
     """
     if not frequencies_khz:
         raise ExperimentError("frequency sweep needs at least one frequency")
     points = [
         (
+            spec,
             _static_policy_ref(online_count, frequency),
             workload_factory if workload_factory is not None
             else _busyloop_ref(utilization_percent),
         )
         for frequency in frequencies_khz
     ]
-    return _run_grid(spec, points, config, pin_uncore_max, runner)
+    return run_grid(points, config, pin_uncore_max, runner)
 
 
 def core_count_sweep(
@@ -252,6 +249,7 @@ def core_count_sweep(
         raise ExperimentError("core-count sweep needs at least one count")
     points = [
         (
+            spec,
             _static_policy_ref(count, frequency_khz),
             _busyloop_ref(
                 utilization_percent,
@@ -261,4 +259,4 @@ def core_count_sweep(
         )
         for count in core_counts
     ]
-    return _run_grid(spec, points, config, pin_uncore_max, runner)
+    return run_grid(points, config, pin_uncore_max, runner)

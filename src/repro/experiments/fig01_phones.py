@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..analysis.report import render_series, render_table
-from ..analysis.sweep import run_session
+from ..analysis.sweep import run_grid
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..metrics.summary import summarize
-from ..policies.static import StaticPolicy
+from ..scenario.registry import policy_ref, workload_ref
 from ..soc.catalog import fleet_specs
-from ..workloads.busyloop import BusyLoopApp
 from .common import characterisation_config
 
 __all__ = ["PhonePowerRow", "Fig01Result", "run"]
@@ -88,27 +86,34 @@ def run(config: Optional[SimulationConfig] = None) -> Fig01Result:
 
     Highest computing state: all cores online at fmax with 100% local
     utilization; GPU and memory idle (the kernel app has no graphics or
-    memory traffic).
+    memory traffic).  The whole fleet runs as one runner batch.
     """
     if config is None:
         config = characterisation_config()
-    rows: List[PhonePowerRow] = []
-    for spec in fleet_specs():
-        result = run_session(
-            spec,
-            BusyLoopApp(100.0),
-            StaticPolicy(spec.num_cores, spec.opp_table.max_frequency_khz),
-            config,
-            pin_uncore_max=False,
-        )
-        summary = summarize(result)
-        rows.append(
-            PhonePowerRow(
-                name=spec.name,
-                release_year=spec.release_year,
-                num_cores=spec.num_cores,
-                mean_power_mw=summary.mean_power_mw,
+    specs = fleet_specs()
+    summaries = run_grid(
+        [
+            (
+                spec.name,
+                policy_ref(
+                    "static",
+                    online_count=spec.num_cores,
+                    frequency_khz=spec.opp_table.max_frequency_khz,
+                ),
+                workload_ref("busyloop", target_load_percent=100.0),
             )
+            for spec in specs
+        ],
+        config,
+    )
+    rows = [
+        PhonePowerRow(
+            name=spec.name,
+            release_year=spec.release_year,
+            num_cores=spec.num_cores,
+            mean_power_mw=summary.mean_power_mw,
         )
+        for spec, summary in zip(specs, summaries)
+    ]
     rows.sort(key=lambda r: (r.release_year, r.num_cores, r.name))
     return Fig01Result(rows=rows)

@@ -86,12 +86,11 @@ def run(
     """Sweep local utilization x the five representative OPPs on one core."""
     if config is None:
         config = characterisation_config()
-    spec = nexus5_spec()
-    frequencies = representative_frequencies(spec)
+    frequencies = representative_frequencies(nexus5_spec())
     power: Dict[int, Dict[float, float]] = {}
     for frequency in frequencies:
         summaries = utilization_sweep(
-            spec,
+            "Nexus 5",
             online_count=1,
             frequency_khz=frequency,
             utilization_percents=utilizations,

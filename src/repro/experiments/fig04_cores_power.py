@@ -21,12 +21,15 @@ from ..analysis.report import render_table
 from ..analysis.sweep import core_count_sweep
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..soc.catalog import nexus5_spec
+from ..soc.catalog import get_phone_spec
 from .common import representative_frequencies
 
 __all__ = ["Fig04Result", "run", "DEFAULT_CORE_COUNTS"]
 
 DEFAULT_CORE_COUNTS: Tuple[int, ...] = (1, 2, 3, 4)
+
+#: The catalog name of the Nexus 5 with its thermal governor enabled.
+PLATFORM = "Nexus 5 (throttled)"
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,11 @@ def run(
     """
     if config is None:
         config = SimulationConfig(duration_seconds=60.0, warmup_seconds=20.0)
-    spec = nexus5_spec(throttled=True)
-    frequencies = representative_frequencies(spec)
+    frequencies = representative_frequencies(get_phone_spec(PLATFORM))
     power: Dict[int, Dict[int, float]] = {}
     for frequency in frequencies:
         summaries = core_count_sweep(
-            spec,
+            PLATFORM,
             core_counts=core_counts,
             frequency_khz=frequency,
             utilization_percent=100.0,

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.report import render_table
-from ..analysis.sweep import run_session
+from ..analysis.sweep import run_grid
 from ..config import SimulationConfig
 from ..core.energy_model import EnergyModel
 from ..core.operating_point import OperatingPoint, OperatingPointOptimizer
 from ..errors import ExperimentError
-from ..metrics.summary import summarize
-from ..policies.static import StaticPolicy
+from ..scenario.registry import policy_ref, workload_ref
 from ..soc.catalog import nexus5_spec
-from ..workloads.busyloop import BusyLoopApp
 from .common import characterisation_config
 
 __all__ = ["MeasuredPoint", "Fig05Result", "run", "DEFAULT_GLOBAL_LOADS"]
@@ -126,6 +124,7 @@ def run(
 
     ``frequency_stride`` thins the 14-OPP ladder (every other OPP by
     default) to keep the sweep tractable; pass 1 for the full grid.
+    Every measured combination of every load runs as one runner batch.
     """
     if frequency_stride < 1:
         raise ExperimentError("frequency_stride must be >= 1")
@@ -137,33 +136,38 @@ def run(
     kept_frequencies = set(spec.opp_table.frequencies_khz[::frequency_stride])
     kept_frequencies.add(spec.opp_table.max_frequency_khz)
 
-    measured: Dict[float, List[MeasuredPoint]] = {}
     model_best: Dict[float, OperatingPoint] = {}
+    grid: List[Tuple[float, int, int]] = []
     for load in loads:
         best = optimizer.best_point(load)
+        model_best[load] = best
         # The model's chosen point is always measured, whatever the stride.
         load_frequencies = set(kept_frequencies)
         load_frequencies.add(best.frequency_khz)
-        points: List[MeasuredPoint] = []
-        for count, frequency in _feasible_combinations(spec, load):
-            if frequency not in load_frequencies:
-                continue
-            result = run_session(
-                spec,
-                BusyLoopApp(load),
-                StaticPolicy(count, frequency),
-                config,
-                pin_uncore_max=False,
+        grid.extend(
+            (load, count, frequency)
+            for count, frequency in _feasible_combinations(spec, load)
+            if frequency in load_frequencies
+        )
+    summaries = run_grid(
+        [
+            (
+                "Nexus 5",
+                policy_ref("static", online_count=count, frequency_khz=frequency),
+                workload_ref("busyloop", target_load_percent=load),
             )
-            summary = summarize(result)
-            points.append(
-                MeasuredPoint(
-                    global_load_percent=load,
-                    online_count=count,
-                    frequency_khz=frequency,
-                    mean_power_mw=summary.mean_power_mw,
-                )
+            for load, count, frequency in grid
+        ],
+        config,
+    )
+    measured: Dict[float, List[MeasuredPoint]] = {load: [] for load in loads}
+    for (load, count, frequency), summary in zip(grid, summaries):
+        measured[load].append(
+            MeasuredPoint(
+                global_load_percent=load,
+                online_count=count,
+                frequency_khz=frequency,
+                mean_power_mw=summary.mean_power_mw,
             )
-        measured[load] = points
-        model_best[load] = best
+        )
     return Fig05Result(loads=tuple(loads), measured=measured, model_best=model_best)

@@ -16,7 +16,6 @@ from ..analysis.ratio import RatioPoint, performance_power_ratio
 from ..analysis.report import render_table
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..soc.catalog import nexus5_spec
 
 __all__ = ["Fig06Result", "run"]
 
@@ -77,6 +76,5 @@ class Fig06Result:
 
 def run(config: Optional[SimulationConfig] = None) -> Fig06Result:
     """GeekBench-like score and power at every OPP on a single core."""
-    spec = nexus5_spec()
-    points = performance_power_ratio(spec, online_count=1, config=config)
+    points = performance_power_ratio("Nexus 5", online_count=1, config=config)
     return Fig06Result(points=points)

@@ -18,7 +18,6 @@ from ..analysis.ratio import RatioPoint, performance_power_ratio
 from ..analysis.report import render_table
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..soc.catalog import nexus5_spec
 
 __all__ = ["Fig07Result", "run"]
 
@@ -76,9 +75,8 @@ class Fig07Result:
 
 def run(config: Optional[SimulationConfig] = None) -> Fig07Result:
     """Score-per-watt at every OPP for 1 and for 4 pinned cores."""
-    spec = nexus5_spec()
-    one = performance_power_ratio(spec, online_count=1, config=config)
-    four = performance_power_ratio(spec, online_count=4, config=config)
+    one = performance_power_ratio("Nexus 5", online_count=1, config=config)
+    four = performance_power_ratio("Nexus 5", online_count=4, config=config)
     if len(one) != len(four):
         raise ExperimentError("mismatched sweep lengths")
     return Fig07Result(one_core=one, four_cores=four)

@@ -3,8 +3,8 @@
 These modules reproduce the kernel mechanisms the paper's policies sit
 on: a load-balancing scheduler, the cpufreq and hotplug subsystems, the
 CPU bandwidth (quota) controller, utilization accounting, a sysfs-like
-knob tree, event tracing, and the tick-loop simulator that wires it all
-to a :class:`~repro.soc.platform.Platform`.
+knob tree, event tracing, and the tick-loop :class:`Session` that wires
+it all to a :class:`~repro.soc.platform.Platform`.
 """
 
 from .clock import SimClock
@@ -19,8 +19,7 @@ from .cgroup import CpuBandwidthController
 from .sysfs import SysfsTree
 from .trace_buffer import TraceBuffer, sequential_sum
 from .tracing import TickRecord, TraceRecorder, TraceView
-from .engine import KernelStack, Session
-from .simulator import Simulator, SessionResult
+from .engine import KernelStack, Session, SessionResult
 
 __all__ = [
     "KernelStack",
@@ -45,6 +44,5 @@ __all__ = [
     "TraceRecorder",
     "TraceView",
     "sequential_sum",
-    "Simulator",
     "SessionResult",
 ]

@@ -67,10 +67,11 @@ __all__ = ["BatchSession", "batch_compatibility_key"]
 def batch_compatibility_key(spec: Any) -> Optional[tuple]:
     """Grouping key for specs that may share one :class:`BatchSession`.
 
-    Returns ``None`` when *spec* cannot enter a batch at all: it is not
-    portable, it requests tracing or column retention (the batch writes
-    summaries, not live event streams), or it carries a fault plan
-    (faults mutate mid-run state the vector program does not model).
+    Returns ``None`` when *spec* cannot enter a batch at all: it
+    requests tracing or column retention (the batch writes summaries,
+    not live event streams), it carries a fault plan (faults mutate
+    mid-run state the vector program does not model), or its platform
+    has more than one frequency domain.
     Otherwise returns a hashable key; two specs with equal keys run the
     same platform, uncore pinning, and tick/duration/warmup timing, so
     they can share one struct-of-arrays program (seed, label, policy,
@@ -80,8 +81,6 @@ def batch_compatibility_key(spec: Any) -> Optional[tuple]:
     if spec.trace is not None or spec.keep_columns:
         return None
     if spec.faults is not None:
-        return None
-    if not spec.is_portable:
         return None
     try:
         platform_spec = spec.resolve_platform_spec()
@@ -867,7 +866,7 @@ class BatchSession:
         if any(key is None for key in keys):
             raise BatchError(
                 "spec is not batch-compatible (traced, faulted, keep_columns, "
-                "or not portable); run it through the scalar engine"
+                "or multi-cluster); run it through the scalar engine"
             )
         if len(set(keys)) != 1:
             raise BatchError(

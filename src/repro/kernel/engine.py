@@ -1,7 +1,6 @@
 """The simulation engine: kernel stack + incremental session driver.
 
-This module splits the old monolithic ``Simulator.run()`` loop into two
-composable pieces:
+This module holds the tick loop as two composable pieces:
 
 * :class:`KernelStack` — the bundle of kernel mechanisms one simulated
   device exposes (cpufreq, hotplug, the bandwidth controller, procstat
@@ -28,8 +27,7 @@ Each tick (the governor sampling period, default 20 ms):
 
 The result is a :class:`SessionResult`: the full trace, the workload's
 own metrics (score, FPS), and the accounting every figure of the paper
-needs.  :class:`~repro.kernel.simulator.Simulator` remains as a thin
-facade over a :class:`Session` for existing callers.
+needs.
 """
 
 from __future__ import annotations

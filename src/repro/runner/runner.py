@@ -282,7 +282,7 @@ class SessionRunner:
             with ``cache_dir`` (the store *is* the cache).  Hits served
             from a store-backed cache are additionally counted as
             ``store_hits`` in the stats.
-        memoize: Keep an in-memory memo of portable results, so repeated
+        memoize: Keep an in-memory memo of results, so repeated
             driver calls inside one process never re-simulate (the role
             the old hand-rolled ``game_eval._CACHE`` played, now shared
             by every consumer).
@@ -303,11 +303,10 @@ class SessionRunner:
         retry_backoff_seconds: Base delay between retry rounds; round
             *n* waits ``retry_backoff_seconds * 2**(n-1)``.
         timeout_seconds: Per-spec wall-clock budget.  Enforced by
-            running portable specs in worker processes (even with
-            ``jobs=1``) and terminating workers that exceed it;
-            non-portable specs run in-process and cannot be preempted.
-            ``None`` (the default) disables the budget.  Rejected
-            together with ``batch=True``.
+            running specs in worker processes (even with ``jobs=1``)
+            and terminating workers that exceed it.  ``None`` (the
+            default) disables the budget.  Rejected together with
+            ``batch=True``.
         last_stats: Accounting of the most recent :meth:`run` call.
         total_stats: The same counters accumulated over every
             :meth:`run` call on this runner — what ``--stats`` prints
@@ -440,11 +439,10 @@ class SessionRunner:
     def run_report(self, specs: Sequence[SessionSpec]) -> RunReport:
         """Execute a batch and classify what happened to every spec.
 
-        Portable specs are looked up in the memo and the on-disk cache
-        first; the remainder execute in worker processes when ``jobs > 1``
-        (non-portable specs always run in-process).  Results land at the
-        index of their spec, so ordering is deterministic no matter how
-        workers are scheduled.
+        Specs are looked up in the memo and the on-disk cache first; the
+        remainder execute in worker processes when ``jobs > 1``.  Results
+        land at the index of their spec, so ordering is deterministic no
+        matter how workers are scheduled.
 
         Traced specs (``spec.trace`` set) always execute — a cached
         summary has no event stream — but their summaries are still
@@ -483,17 +481,14 @@ class SessionRunner:
             )
 
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(specs)
+        keys: List[str] = []
         first_with_key: Dict[str, int] = {}
         aliases: List[int] = []
 
         for index, spec in enumerate(specs):
             outcome = report.outcomes[index]
-            if not spec.is_portable:
-                pending.append(index)
-                continue
             key = spec.cache_key()
-            keys[index] = key
+            keys.append(key)
             if spec.trace is not None:
                 # Traced specs bypass memo/cache/alias: only a real
                 # execution produces the event stream.
@@ -554,14 +549,9 @@ class SessionRunner:
                 specs, pending, keys, report, stats, batch_began, heartbeat
             )
 
-        parallelizable = [i for i in pending if specs[i].is_portable]
-        inline = [i for i in pending if not specs[i].is_portable]
-        use_pool = (self.jobs > 1 and len(parallelizable) > 1) or (
-            self.timeout_seconds is not None and bool(parallelizable)
+        use_pool = (self.jobs > 1 and len(pending) > 1) or (
+            self.timeout_seconds is not None and bool(pending)
         )
-        if not use_pool:
-            inline = sorted(parallelizable + inline)
-            parallelizable = []
 
         last_error: Dict[int, Exception] = {}
 
@@ -599,8 +589,8 @@ class SessionRunner:
                     )
             heartbeat.progress()
 
-        remaining_pool = list(parallelizable)
-        remaining_inline = list(inline)
+        remaining_pool = list(pending) if use_pool else []
+        remaining_inline = [] if use_pool else sorted(pending)
         for round_number in range(self.retries + 1):
             if not remaining_pool and not remaining_inline:
                 break
@@ -855,7 +845,7 @@ class SessionRunner:
         self,
         specs: Sequence[SessionSpec],
         pending: List[int],
-        keys: List[Optional[str]],
+        keys: List[str],
         report: RunReport,
         stats: RunnerStats,
         batch_began: float,
@@ -955,7 +945,7 @@ class SessionRunner:
         index: int,
         spec: SessionSpec,
         execution: SpecExecution,
-        key: Optional[str],
+        key: str,
         stats: RunnerStats,
         batch_began: float,
     ) -> None:
@@ -980,8 +970,6 @@ class SessionRunner:
         if spec.trace is not None:
             self.last_events[index] = execution.events
             self.last_event_counts[index] = execution.event_counts
-        if key is None:
-            return
         if self.memoize:
             self._memo[key] = execution.summary
         if self._cache is not None:

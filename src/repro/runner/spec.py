@@ -9,9 +9,9 @@ Factories are named with :class:`FactoryRef`: a dotted
 ``"package.module:attr"`` target plus primitive arguments.  A ref is
 itself callable (calling it resolves and invokes the target), so any API
 that accepts a plain zero-argument factory accepts a ref unchanged.
-Specs built from plain callables/objects still execute — serially, in
-process — but are not *portable*: they cannot cross a process boundary
-or be cached, because a lambda has no stable content address.
+A spec accepts nothing else: a lambda or a live object has no stable
+content address, so it could neither cross a process boundary nor be
+cached, and construction rejects it with a :class:`RunnerError`.
 
 The cache key hashes the **full** specification: every
 :class:`~repro.config.SimulationConfig` field (tick, duration, seed,
@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from importlib import import_module
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from ..config import SimulationConfig
 from ..errors import RunnerError
@@ -174,10 +174,8 @@ class TraceRequest:
         )
 
 
-#: A platform may be named (catalog string), referenced, or passed live.
-PlatformLike = Union[str, FactoryRef, PlatformSpec]
-#: A factory may be a portable ref or any zero-argument callable.
-FactoryLike = Union[FactoryRef, Callable[[], Any]]
+#: A platform is named (catalog string) or referenced.
+PlatformLike = Union[str, FactoryRef]
 
 
 @dataclass(frozen=True)
@@ -185,10 +183,12 @@ class SessionSpec:
     """Everything one session needs, declaratively.
 
     Attributes:
-        platform: Catalog phone name, a :class:`FactoryRef` producing a
-            :class:`PlatformSpec`, or a live spec object.
-        policy: Factory for a fresh policy (ref or callable).
-        workload: Factory for a fresh workload (ref or callable).
+        platform: Catalog phone name or a :class:`FactoryRef` producing
+            a :class:`PlatformSpec`.
+        policy: Ref to a factory for a fresh policy (see
+            :func:`~repro.scenario.registry.policy_ref`).
+        workload: Ref to a factory for a fresh workload (see
+            :func:`~repro.scenario.registry.workload_ref`).
         config: Full session configuration (carries the seed).
         pin_uncore_max: The section 3.2 GPU/memory constraint.
         label: Free-form tag for grouping results back out of a batch;
@@ -210,8 +210,8 @@ class SessionSpec:
     """
 
     platform: PlatformLike
-    policy: FactoryLike
-    workload: FactoryLike
+    policy: FactoryRef
+    workload: FactoryRef
     config: SimulationConfig = field(default_factory=SimulationConfig)
     pin_uncore_max: bool = True
     label: str = ""
@@ -219,21 +219,25 @@ class SessionSpec:
     faults: Optional[FaultPlan] = None
     keep_columns: bool = False
 
-    @property
-    def is_portable(self) -> bool:
-        """True when the spec can cross process boundaries and be cached."""
-        return (
-            isinstance(self.platform, (str, FactoryRef))
-            and isinstance(self.policy, FactoryRef)
-            and isinstance(self.workload, FactoryRef)
-        )
+    def __post_init__(self) -> None:
+        if not isinstance(self.platform, (str, FactoryRef)):
+            raise RunnerError(
+                f"SessionSpec.platform must be a catalog name or a FactoryRef, "
+                f"got {type(self.platform).__name__}"
+            )
+        for name in ("policy", "workload"):
+            value = getattr(self, name)
+            if not isinstance(value, FactoryRef):
+                raise RunnerError(
+                    f"SessionSpec.{name} must be a FactoryRef (build one with "
+                    f"{name}_ref(...) or FactoryRef.to(...)), "
+                    f"got {type(value).__name__}"
+                )
 
     # -- resolution ------------------------------------------------------
 
     def resolve_platform_spec(self) -> PlatformSpec:
         """Materialise the platform datasheet this spec names."""
-        if isinstance(self.platform, PlatformSpec):
-            return self.platform
         if isinstance(self.platform, FactoryRef):
             spec = self.platform.resolve()
             if not isinstance(spec, PlatformSpec):
@@ -260,11 +264,6 @@ class SessionSpec:
         Includes every config field — notably ``seed`` and
         ``warmup_seconds``, which the old in-memory game cache dropped.
         """
-        if not self.is_portable:
-            raise RunnerError(
-                "only portable specs (named platform + FactoryRef factories) "
-                "have a stable cache identity; got a live object or lambda"
-            )
         if isinstance(self.platform, FactoryRef):
             platform_payload = self.platform.payload()
         else:

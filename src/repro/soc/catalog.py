@@ -16,6 +16,7 @@ The Nexus 5 itself uses the full calibration of
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List
 
 from .battery import RailTopology
@@ -47,6 +48,7 @@ __all__ = [
     "big_a15_cluster",
     "PHONE_CATALOG",
     "HETERO_CATALOG",
+    "VARIANT_CATALOG",
     "get_phone_spec",
 ]
 
@@ -457,11 +459,23 @@ HETERO_CATALOG: Dict[str, Callable[[], PlatformSpec]] = {
 }
 
 
+#: Configuration variants of catalog devices, each under its own name so
+#: it gets its own cache address and store ``platform`` axis value.  The
+#: spec itself keeps the device's name, so its summaries read the same.
+VARIANT_CATALOG: Dict[str, Callable[[], PlatformSpec]] = {
+    "Nexus 5 (throttled)": partial(nexus5_spec, throttled=True),
+}
+
+
 def get_phone_spec(name: str) -> PlatformSpec:
     """Look up a catalog phone by name; raise :class:`PlatformError` if unknown."""
-    factory = PHONE_CATALOG.get(name) or HETERO_CATALOG.get(name)
+    factory = (
+        PHONE_CATALOG.get(name) or HETERO_CATALOG.get(name) or VARIANT_CATALOG.get(name)
+    )
     if factory is None:
-        known = ", ".join(sorted(PHONE_CATALOG) + sorted(HETERO_CATALOG))
+        known = ", ".join(
+            sorted(PHONE_CATALOG) + sorted(HETERO_CATALOG) + sorted(VARIANT_CATALOG)
+        )
         raise PlatformError(f"unknown phone {name!r}; catalog has: {known}") from None
     return factory()
 

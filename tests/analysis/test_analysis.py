@@ -21,13 +21,10 @@ from repro.analysis.sweep import (
     utilization_sweep,
 )
 from repro.config import SimulationConfig
-from repro.core.mobicore import MobiCorePolicy
 from repro.errors import ExperimentError
-from repro.policies.android_default import AndroidDefaultPolicy
 from repro.policies.static import StaticPolicy
-from repro.soc.catalog import nexus5_spec
+from repro.scenario import policy_ref, workload_ref
 from repro.workloads.busyloop import BusyLoopApp
-from repro.workloads.games import game_workload
 
 CFG = SimulationConfig(duration_seconds=3.0, seed=1, warmup_seconds=0.5)
 
@@ -35,24 +32,24 @@ CFG = SimulationConfig(duration_seconds=3.0, seed=1, warmup_seconds=0.5)
 class TestSweeps:
     def test_utilization_sweep_monotone(self, spec):
         summaries = utilization_sweep(
-            spec, 1, spec.opp_table.max_frequency_khz, [10.0, 50.0, 100.0], CFG
+            "Nexus 5", 1, spec.opp_table.max_frequency_khz, [10.0, 50.0, 100.0], CFG
         )
         powers = [s.mean_power_mw for s in summaries]
         assert powers == sorted(powers)
 
-    def test_utilization_sweep_needs_levels(self, spec):
+    def test_utilization_sweep_needs_levels(self):
         with pytest.raises(ExperimentError):
-            utilization_sweep(spec, 1, 300_000, [], CFG)
+            utilization_sweep("Nexus 5", 1, 300_000, [], CFG)
 
-    def test_frequency_sweep_monotone(self, spec):
+    def test_frequency_sweep_monotone(self):
         summaries = frequency_sweep(
-            spec, 1, [300_000, 960_000, 2_265_600], 100.0, CFG
+            "Nexus 5", 1, [300_000, 960_000, 2_265_600], 100.0, CFG
         )
         powers = [s.mean_power_mw for s in summaries]
         assert powers == sorted(powers)
 
-    def test_core_count_sweep_monotone(self, spec):
-        summaries = core_count_sweep(spec, [1, 2, 4], 960_000, 100.0, CFG)
+    def test_core_count_sweep_monotone(self):
+        summaries = core_count_sweep("Nexus 5", [1, 2, 4], 960_000, 100.0, CFG)
         powers = [s.mean_power_mw for s in summaries]
         assert powers == sorted(powers)
 
@@ -82,18 +79,18 @@ class TestSweeps:
 
 
 class TestSummaryColumns:
-    def test_columns_align_with_summary_rows(self, spec):
-        summaries = frequency_sweep(spec, 1, [300_000, 960_000], 100.0, CFG)
+    def test_columns_align_with_summary_rows(self):
+        summaries = frequency_sweep("Nexus 5", 1, [300_000, 960_000], 100.0, CFG)
         columns = summary_columns(summaries)
         assert columns["mean_power_mw"].tolist() == [
             s.mean_power_mw for s in summaries
         ]
         assert all(len(column) == len(summaries) for column in columns.values())
 
-    def test_fps_none_becomes_nan(self, spec):
+    def test_fps_none_becomes_nan(self):
         import numpy as np
 
-        summaries = frequency_sweep(spec, 1, [960_000], 100.0, CFG)
+        summaries = frequency_sweep("Nexus 5", 1, [960_000], 100.0, CFG)
         assert summaries[0].mean_fps is None  # busyloop reports no frames
         column = summary_columns(summaries, fields=("mean_fps",))["mean_fps"]
         assert np.isnan(column[0])
@@ -104,53 +101,50 @@ class TestSummaryColumns:
 
 
 class TestRatio:
-    def test_points_per_frequency(self, spec):
+    def test_points_per_frequency(self):
         points = performance_power_ratio(
-            spec, 1, frequencies_khz=[300_000, 2_265_600], config=CFG
+            "Nexus 5", 1, frequencies_khz=[300_000, 2_265_600], config=CFG
         )
         assert [p.frequency_khz for p in points] == [300_000, 2_265_600]
         assert all(p.score > 0 and p.mean_power_mw > 0 for p in points)
         assert points[1].score > points[0].score
 
-    def test_bad_core_count(self, spec):
+    def test_bad_core_count(self):
         with pytest.raises(ExperimentError):
-            performance_power_ratio(spec, 9, config=CFG)
+            performance_power_ratio("Nexus 5", 9, config=CFG)
 
 
 class TestComparison:
     @pytest.fixture(scope="class")
     def comparison(self):
-        spec = nexus5_spec()
         return PolicyComparison(
-            spec,
-            baseline_factory=AndroidDefaultPolicy,
-            candidate_factory=lambda: MobiCorePolicy(
-                power_params=spec.power_params,
-                opp_table=spec.opp_table,
-                num_cores=spec.num_cores,
-            ),
+            "Nexus 5",
+            baseline_factory=policy_ref("android-default"),
+            candidate_factory=policy_ref("mobicore", platform="Nexus 5"),
             config=SimulationConfig(duration_seconds=4.0, seed=2, warmup_seconds=1.0),
             pin_uncore_max=False,
         )
 
     def test_row_deltas(self, comparison):
-        row = comparison.compare(lambda: BusyLoopApp(30.0))
+        row = comparison.compare(workload_ref("busyloop", target_load_percent=30.0))
         assert row.workload.startswith("busyloop")
         assert row.power_saving_percent > 0
         assert row.fps_ratio is None
 
     def test_game_row_has_fps_ratio(self, comparison):
-        row = comparison.compare(lambda: game_workload("Badland"))
+        row = comparison.compare(workload_ref("game", title="Badland"))
         assert row.fps_ratio is not None
         assert 0 < row.fps_ratio <= 1.1
 
     def test_seeds_vary_results(self, comparison):
-        rows = comparison.compare_seeds(lambda: game_workload("Badland"), [1, 2])
+        rows = comparison.compare_seeds(workload_ref("game", title="Badland"), [1, 2])
         assert len(rows) == 2
         assert rows[0].baseline.mean_power_mw != rows[1].baseline.mean_power_mw
 
     def test_mean_power_saving(self, comparison):
-        rows = comparison.compare_seeds(lambda: BusyLoopApp(30.0), [1, 2])
+        rows = comparison.compare_seeds(
+            workload_ref("busyloop", target_load_percent=30.0), [1, 2]
+        )
         mean = PolicyComparison.mean_power_saving(rows)
         assert mean == pytest.approx(
             sum(r.power_saving_percent for r in rows) / 2
@@ -158,7 +152,9 @@ class TestComparison:
 
     def test_empty_seeds_rejected(self, comparison):
         with pytest.raises(ExperimentError):
-            comparison.compare_seeds(lambda: BusyLoopApp(10.0), [])
+            comparison.compare_seeds(
+                workload_ref("busyloop", target_load_percent=10.0), []
+            )
 
 
 class TestReport:

@@ -66,23 +66,15 @@ class TestWithComparisons:
         """Integration: game savings over seeds yield a finite interval."""
         from repro.analysis.comparison import PolicyComparison
         from repro.config import SimulationConfig
-        from repro.core.mobicore import MobiCorePolicy
-        from repro.policies.android_default import AndroidDefaultPolicy
-        from repro.soc.catalog import nexus5_spec
-        from repro.workloads.games import game_workload
+        from repro.scenario import policy_ref, workload_ref
 
-        spec = nexus5_spec()
         comparison = PolicyComparison(
-            spec,
-            baseline_factory=AndroidDefaultPolicy,
-            candidate_factory=lambda: MobiCorePolicy(
-                power_params=spec.power_params,
-                opp_table=spec.opp_table,
-                num_cores=spec.num_cores,
-            ),
+            "Nexus 5",
+            baseline_factory=policy_ref("android-default"),
+            candidate_factory=policy_ref("mobicore", platform="Nexus 5"),
             config=SimulationConfig(duration_seconds=10.0, warmup_seconds=2.0),
         )
-        rows = comparison.compare_seeds(lambda: game_workload("Badland"), [1, 2, 3])
+        rows = comparison.compare_seeds(workload_ref("game", title="Badland"), [1, 2, 3])
         stats = trial_statistics([row.power_saving_percent for row in rows])
         assert stats.n == 3
         assert stats.ci_low < stats.mean < stats.ci_high

@@ -2,8 +2,17 @@
 
 These use short sessions; the shapes they assert are the paper's
 headline claims (see DESIGN.md section 5 for the acceptance criteria).
+The same fixtures are also pinned bit for bit against
+``tests/data/golden_characterisation.json``.
 """
 
+import dataclasses
+import enum
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
@@ -18,6 +27,67 @@ from repro.experiments import (
 )
 
 QUICK = SimulationConfig(duration_seconds=6.0, seed=0, warmup_seconds=1.0)
+
+GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_characterisation.json"
+
+
+def _feed(digest, value, depth=0, seen=None) -> None:
+    """Hash *value* canonically: floats as ``float.hex``, sequences in order.
+
+    The canonical form of ``perfbench/worker.py``'s ``digest_of``, copied
+    so the frozen digests do not depend on the benchmark package.
+    """
+    if depth > 16:
+        raise ValueError("result object nests too deeply to digest")
+    seen = set() if seen is None else seen
+    if value is None or isinstance(value, (bool, int, str)):
+        digest.update(f"{type(value).__name__}:{value!r};".encode())
+        return
+    if isinstance(value, float):
+        digest.update(f"f:{value.hex()};".encode())
+        return
+    if isinstance(value, np.generic):
+        _feed(digest, value.item(), depth, seen)
+        return
+    if isinstance(value, np.ndarray):
+        digest.update(f"nd:{value.dtype}:{value.shape};".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+        return
+    if isinstance(value, enum.Enum):
+        digest.update(f"enum:{type(value).__name__}.{value.name};".encode())
+        return
+    if id(value) in seen:
+        digest.update(b"cycle;")
+        return
+    seen = seen | {id(value)}
+    digest.update(f"<{type(value).__name__}>".encode())
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        items = sorted(value.items(), key=lambda item: repr(item[0]))
+    elif isinstance(value, (list, tuple)):
+        items = list(enumerate(value))
+    elif isinstance(value, (set, frozenset)):
+        items = sorted((repr(item), item) for item in value)
+    else:
+        items = list(getattr(value, "__dict__", {}).items())
+    for key, item in items:
+        _feed(digest, key, depth + 1, seen)
+        _feed(digest, item, depth + 1, seen)
+    digest.update(b"</>")
+
+
+def digest_of(*values) -> str:
+    """sha256 over the canonical form of *values*."""
+    digest = hashlib.sha256()
+    for value in values:
+        _feed(digest, value)
+    return digest.hexdigest()
+
+
+def figure_digest(figure: str, result) -> str:
+    """The frozen-oracle digest: figure id, rendered text, result object."""
+    return digest_of(figure, result.render(), result)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +104,13 @@ def fig3():
 def fig4():
     return fig04_cores_power.run(
         SimulationConfig(duration_seconds=45.0, seed=0, warmup_seconds=20.0)
+    )
+
+
+@pytest.fixture(scope="module")
+def fig5():
+    return fig05_operating_points.run(
+        SimulationConfig(duration_seconds=4.0, seed=0, warmup_seconds=1.0)
     )
 
 
@@ -135,12 +212,6 @@ class TestFig04:
 
 
 class TestFig05:
-    @pytest.fixture(scope="class")
-    def fig5(self):
-        return fig05_operating_points.run(
-            SimulationConfig(duration_seconds=4.0, seed=0, warmup_seconds=1.0)
-        )
-
     def test_optimal_cores_grow_with_load(self, fig5):
         counts = fig5.best_core_counts()
         assert counts == sorted(counts)
@@ -187,3 +258,11 @@ class TestFig07:
             fig7.one_core[-1].ratio_score_per_w
             > fig7.four_cores[-1].ratio_score_per_w
         )
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_matches_frozen_digest(figure, request):
+    """Bit-identical to the digests captured before the runner reroute."""
+    golden = json.loads(GOLDEN_PATH.read_text())["digests"]
+    result = request.getfixturevalue(figure)
+    assert figure_digest(figure, result) == golden[figure]

@@ -9,10 +9,7 @@ import pytest
 
 from repro.analysis.comparison import PolicyComparison
 from repro.config import SimulationConfig
-from repro.core.mobicore import MobiCorePolicy
-from repro.policies.android_default import AndroidDefaultPolicy
-from repro.soc.catalog import nexus5_spec
-from repro.workloads.games import game_workload
+from repro.scenario import policy_ref, workload_ref
 
 FRESH_SEEDS = (11, 12)
 CFG = SimulationConfig(duration_seconds=25.0, seed=0, warmup_seconds=2.0)
@@ -20,15 +17,10 @@ CFG = SimulationConfig(duration_seconds=25.0, seed=0, warmup_seconds=2.0)
 
 @pytest.fixture(scope="module")
 def comparison():
-    spec = nexus5_spec()
     return PolicyComparison(
-        spec,
-        baseline_factory=AndroidDefaultPolicy,
-        candidate_factory=lambda: MobiCorePolicy(
-            power_params=spec.power_params,
-            opp_table=spec.opp_table,
-            num_cores=spec.num_cores,
-        ),
+        "Nexus 5",
+        baseline_factory=policy_ref("android-default"),
+        candidate_factory=policy_ref("mobicore", platform="Nexus 5"),
         config=CFG,
         pin_uncore_max=True,
     )
@@ -39,7 +31,7 @@ def fresh_rows(comparison):
     rows = {}
     for game in ("Real Racing 3", "Subway Surf"):
         per_seed = comparison.compare_seeds(
-            lambda game=game: game_workload(game), FRESH_SEEDS
+            workload_ref("game", title=game), FRESH_SEEDS
         )
         rows[game] = per_seed
     return rows

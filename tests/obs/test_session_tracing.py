@@ -3,8 +3,7 @@
 import pytest
 
 from repro.config import SimulationConfig
-from repro.kernel.engine import KernelStack
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import KernelStack, Session
 from repro.obs.bus import Tracepoint, TracepointBus
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.policies.base import PolicyDecision
@@ -15,7 +14,7 @@ from repro.workloads.busyloop import BusyLoopApp
 
 def traced_run(config, policy=None, workload=None, **bus_kwargs):
     bus = TracepointBus(**bus_kwargs)
-    sim = Simulator(
+    sim = Session(
         Platform.from_spec(nexus5_spec()),
         workload or BusyLoopApp(40.0),
         policy or AndroidDefaultPolicy(),
@@ -35,11 +34,11 @@ class TestCountInvariants:
         assert counts.get("hotplug:core_state", 0) == result.hotplug_transitions
         assert (
             counts.get("cgroup:quota_update", 0)
-            == sim.session.stack.bandwidth.update_count
+            == sim.stack.bandwidth.update_count
         )
         assert (
             counts.get("hotplug:mpdecision_veto", 0)
-            == sim.session.stack.hotplug.vetoed_offline_requests
+            == sim.stack.hotplug.vetoed_offline_requests
         )
 
     def test_tick_events_once_per_tick(self, short_config):
@@ -81,7 +80,7 @@ class TestDisabledOverhead:
             raise AssertionError("emit() reached without a bus attached")
 
         monkeypatch.setattr(Tracepoint, "emit", explode)
-        sim = Simulator(
+        sim = Session(
             Platform.from_spec(nexus5_spec()),
             BusyLoopApp(40.0),
             AndroidDefaultPolicy(),
@@ -96,7 +95,7 @@ class TestDisabledOverhead:
 
         monkeypatch.setattr(Tracepoint, "emit", explode)
         bus = TracepointBus(tracing_on=False)
-        sim = Simulator(
+        sim = Session(
             Platform.from_spec(nexus5_spec()),
             BusyLoopApp(40.0),
             AndroidDefaultPolicy(),

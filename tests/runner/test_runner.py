@@ -15,13 +15,10 @@ from repro.runner import (
     SessionSpec,
     configure_default_runner,
     default_runner,
-    execute_spec,
     set_default_runner,
     summary_from_dict,
     summary_to_dict,
 )
-from repro.policies.static import StaticPolicy
-from repro.workloads.busyloop import BusyLoopApp
 
 
 CFG = SimulationConfig(duration_seconds=4.0, seed=0, warmup_seconds=1.0)
@@ -88,18 +85,6 @@ class TestBatchSemantics:
         assert runner.last_stats.memo_hits == 1
         assert results[0] == results[1]
 
-    def test_non_portable_specs_run_inline(self):
-        spec = SessionSpec(
-            platform="Nexus 5",
-            policy=lambda: StaticPolicy(2, 960_000),
-            workload=lambda: BusyLoopApp(40.0),
-            config=CFG,
-            pin_uncore_max=False,
-        )
-        runner = SessionRunner(jobs=4)
-        results = runner.run([spec, busyloop_spec()])
-        assert runner.last_stats.sessions_executed == 2
-        assert results[0] == execute_spec(spec)
 
 
 class TestParallelDeterminism:

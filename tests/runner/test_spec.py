@@ -1,4 +1,4 @@
-"""FactoryRef and SessionSpec: portability, resolution, content address."""
+"""FactoryRef and SessionSpec: typed rejection, resolution, content address."""
 
 import dataclasses
 
@@ -81,24 +81,42 @@ class TestFactoryRef:
 
 
 class TestPortability:
+    """Only portable specs can be built: anything else is a typed error."""
+
     def test_named_platform_and_refs_are_portable(self):
-        assert make_spec().is_portable
-
-    def test_lambda_factory_is_not_portable(self):
-        assert not make_spec(policy=lambda: StaticPolicy(4, 960_000)).is_portable
-
-    def test_live_platform_spec_is_not_portable(self):
-        assert not make_spec(platform=nexus5_spec()).is_portable
-
-    def test_non_portable_spec_has_no_cache_identity(self):
-        spec = make_spec(workload=lambda: BusyLoopApp(40.0))
-        with pytest.raises(RunnerError):
-            spec.cache_key()
-
-    def test_non_portable_spec_still_resolves(self):
-        spec = make_spec(platform=nexus5_spec())
+        spec = make_spec()
         assert spec.resolve_platform_spec().name == "Nexus 5"
         assert isinstance(spec.build_policy(), StaticPolicy)
+        by_ref = make_spec(platform=FactoryRef.to("repro.soc.catalog:nexus5_spec"))
+        assert by_ref.resolve_platform_spec().name == "Nexus 5"
+
+    def test_lambda_factory_is_not_portable(self):
+        with pytest.raises(RunnerError, match=r"SessionSpec\.policy .*policy_ref"):
+            make_spec(policy=lambda: StaticPolicy(4, 960_000))
+
+    def test_live_platform_spec_is_not_portable(self):
+        with pytest.raises(
+            RunnerError, match=r"SessionSpec\.platform .*catalog name or a FactoryRef"
+        ):
+            make_spec(platform=nexus5_spec())
+
+    def test_non_portable_spec_has_no_cache_identity(self):
+        """A lambda workload never becomes a spec, so it never gets a key."""
+        with pytest.raises(RunnerError, match=r"SessionSpec\.workload .*workload_ref"):
+            make_spec(workload=lambda: BusyLoopApp(40.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("policy", StaticPolicy(2, 960_000)),
+            ("workload", BusyLoopApp(40.0)),
+            ("policy", StaticPolicy),
+            ("platform", FactoryRef.to("repro.soc.catalog:nexus5_spec").resolve),
+        ],
+    )
+    def test_live_objects_are_rejected(self, field, value):
+        with pytest.raises(RunnerError, match=rf"SessionSpec\.{field} "):
+            make_spec(**{field: value})
 
 
 class TestCacheKey:
@@ -149,5 +167,4 @@ class TestCacheKey:
         by_ref = make_spec(
             platform=FactoryRef.to("repro.soc.catalog:nexus5_spec")
         )
-        assert by_ref.is_portable
         assert by_ref.cache_key() != make_spec().cache_key()

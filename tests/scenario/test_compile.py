@@ -29,7 +29,8 @@ SHORT = SimulationConfig(duration_seconds=5.0, seed=1, warmup_seconds=1.0)
 class TestCompile:
     def test_compiled_spec_is_portable_and_named_by_catalog_key(self):
         spec = compile_scenario(Scenario(policy="mobicore"))
-        assert spec.is_portable
+        assert isinstance(spec.policy, FactoryRef)
+        assert isinstance(spec.workload, FactoryRef)
         # Platform stays the catalog name string, keeping compiled specs
         # on the same cache addresses as hand-wired ones.
         assert spec.platform == "Nexus 5"

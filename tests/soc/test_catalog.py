@@ -90,6 +90,36 @@ class TestNexus5Variants:
         assert spec.thermal.throttle_temp_c < 50.0
         assert spec.thermal.release_temp_c < spec.thermal.throttle_temp_c
 
+    def test_throttled_variant_has_its_own_catalog_name(self):
+        spec = get_phone_spec("Nexus 5 (throttled)")
+        assert spec == nexus5_spec(throttled=True)
+        assert spec.name == "Nexus 5"
+        assert "Nexus 5 (throttled)" not in PHONE_CATALOG
+        assert len(fleet_specs()) == 6
+
+    def test_throttled_variant_is_a_separate_cache_and_store_entry(self, tmp_path):
+        from repro.config import SimulationConfig
+        from repro.runner import SessionRunner, SessionSpec
+        from repro.scenario import policy_ref, workload_ref
+
+        config = SimulationConfig(duration_seconds=0.4, seed=0, warmup_seconds=0.1)
+        specs = [
+            SessionSpec(
+                platform=name,
+                policy=policy_ref("static", online_count=4, frequency_khz=2_265_600),
+                workload=workload_ref("busyloop", target_load_percent=100.0),
+                config=config,
+            )
+            for name in ("Nexus 5", "Nexus 5 (throttled)")
+        ]
+        plain_key, throttled_key = (spec.cache_key() for spec in specs)
+        assert plain_key != throttled_key
+        runner = SessionRunner(store_dir=tmp_path / "store")
+        summaries = runner.run(specs)
+        assert [summary.platform for summary in summaries] == ["Nexus 5", "Nexus 5"]
+        assert runner.store.index_row(plain_key)["platform"] == "Nexus 5"
+        assert runner.store.index_row(throttled_key)["platform"] == "Nexus 5 (throttled)"
+
     def test_spec_rows_render(self):
         rows = dict(nexus5_spec().spec_rows())
         assert rows["SoC"] == "Snapdragon 800 (MSM8974)"
