@@ -1,11 +1,11 @@
-"""Ops-plane overhead: an instrumented sweep vs the disabled fast path.
+"""Status-output overhead: a sweep with a status dir vs one without.
 
 Runs the same cold ``jobs=4`` busyloop batch twice — once on a plain
-:class:`~repro.runner.runner.SessionRunner` (no registry, no status
-dir: the disabled-by-default fast path) and once with the full ops
-plane on (metrics registry, heartbeat file, ``metrics.json`` snapshot)
-— taking the min over ``REPEATS`` passes of each.  The bench fails
-unless
+:class:`~repro.runner.runner.SessionRunner` (no ``status_dir``: no
+heartbeat file, no ``metrics.json``; its always-on metrics registry
+still counts every run) and once with status output on (heartbeat
+file and ``metrics.json`` snapshot) — taking the min over ``REPEATS``
+passes of each.  The bench fails unless
 
 * the instrumented batch is within ``OBS_BENCH_MAX_OVERHEAD`` of the
   plain one (default 3%; CI's smoke job relaxes it for noisy shared
@@ -53,7 +53,7 @@ def _specs():
 
 
 def _timed(status_dir):
-    """One cold batch; *status_dir* None means the disabled fast path."""
+    """One cold batch; *status_dir* None means no status output."""
     runner = SessionRunner(jobs=JOBS, status_dir=status_dir)
     start = time.perf_counter()
     summaries = runner.run(_specs())
@@ -61,7 +61,7 @@ def _timed(status_dir):
 
 
 def run_obs_overhead_benchmark():
-    """Time disabled vs instrumented sweeps; return the report dict."""
+    """Time plain vs status-dir sweeps; return the report dict."""
     plain_s = instrumented_s = float("inf")
     for _ in range(REPEATS):
         elapsed, plain_rows = _timed(None)

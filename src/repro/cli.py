@@ -147,9 +147,9 @@ def _print_runner_stats(stats: RunnerStats) -> None:
     """Render the ``--stats`` accounting block.
 
     The rows come from :func:`repro.obs.metrics_plane.stats_rows`, which
-    reads them back out of a metrics registry fed by the same bridge the
-    exposition uses — so this table and ``repro metrics`` can never
-    disagree.  Every row is always present (robustness counters render
+    formats *stats*, itself a read of the runner's metrics registry —
+    the registry the exposition serves — so this table and ``repro
+    metrics`` can never disagree.  Every row is always present (robustness counters render
     0 on clean runs) and the row set is documented in ``docs/API.md``.
     """
     print(render_table(("runner stats", "value"), stats_rows(stats)))

@@ -16,24 +16,26 @@ heartbeat/progress protocol long sweeps can be watched through.
 * :mod:`repro.obs.metrics_plane.heartbeat` — the JSONL status-file
   protocol (``queued | running | done | error`` per spec, retries,
   ETA) behind ``repro status``;
-* :mod:`repro.obs.metrics_plane.bridge` — folds runner telemetry
-  (:class:`~repro.runner.runner.RunnerStats`, cache/retry events,
-  spec executions) into registry metrics, so the CLI ``--stats`` table
-  and the exposition can never disagree.
+* :mod:`repro.obs.metrics_plane.bridge` — the runner's metric schema
+  (names, help text, label sets), the per-execution and store folds,
+  and the ``--stats`` rows.  Every runner writes its counts into its
+  own registry and reads :class:`~repro.runner.runner.RunnerStats`
+  back out of it, so the CLI ``--stats`` table and the exposition can
+  never disagree.
 
-Everything here is disabled by default: a runner without a registry or
-status directory takes the exact pre-ops-plane fast path, pinned by
-``benchmarks/bench_obs_overhead.py``.  The registry's exposition and
-the heartbeat file are deliberately service-shaped — a gateway can
-mount them as ``/metrics`` and ``/jobs/<id>/status`` unchanged.
+The registry is always on; status output is opt-in.  A runner without
+a status directory writes no heartbeat and no ``metrics.json``, and
+``benchmarks/bench_obs_overhead.py`` pins what a status directory costs
+on top.  The registry's exposition and the heartbeat file are
+deliberately service-shaped — a gateway can mount them as ``/metrics``
+and ``/jobs/<id>/status`` unchanged.
 """
 
 from .bridge import (
     ensure_runner_metrics,
     format_bytes,
-    observe_batch,
     observe_execution,
-    observe_stats,
+    runner_counts,
     stats_rows,
 )
 from .heartbeat import (
@@ -85,9 +87,8 @@ __all__ = [
     "HEARTBEAT_FILENAME",
     "METRICS_FILENAME",
     "ensure_runner_metrics",
-    "observe_batch",
     "observe_execution",
-    "observe_stats",
+    "runner_counts",
     "stats_rows",
     "format_bytes",
 ]

@@ -1,46 +1,42 @@
-"""Folds runner telemetry into registry metrics — one schema, one place.
+"""The runner's metric schema — one set of names, one place.
 
-Every runner-facing metric name, label set, and feeding rule lives
-here, so the ``--stats`` table, the Prometheus exposition, and the
-persisted ``metrics.json`` can never drift apart: they are all reads
-of the same :class:`~repro.obs.metrics_plane.registry.MetricsRegistry`
-fed by the same observe functions.
+Every runner-facing metric name, help text and label set lives here,
+so the ``--stats`` table, the Prometheus exposition, and the persisted
+``metrics.json`` can never drift apart.  The runner is the only writer:
+it increments each count once, at the line where it learns it, into
+its own :class:`~repro.obs.metrics_plane.registry.MetricsRegistry`, and
+its ``RunnerStats`` are reads of that registry (:func:`runner_counts`).
 
-The feeding discipline avoids double counting by giving each source
-exactly one consumer:
+Two signal sources are folded here rather than at a runner line:
 
-* scalar batch counters (:func:`observe_stats`) come from the runner's
-  ``RunnerStats`` accounting;
-* per-tier cache lookups come from ``RunnerCacheEvent`` telemetry;
-* per-status spec outcomes come from the :class:`RunReport`;
 * per-execution signals (:func:`observe_execution`) — phase wall
-  breakdowns, session wall histogram, fault firings, peak recorder
-  memory — come from each ``SpecExecution`` as it completes.
+  breakdowns, the session wall histogram, fault firings — come from
+  each ``SpecExecution`` as it completes;
+* experiment-store counters (:func:`observe_store`) are monotonic on
+  the store object and folded in by delta after each batch.
 
-Everything is duck-typed on attribute names (``sessions_executed``,
-``phase_seconds``, ``outcome``…) so this module never imports
-:mod:`repro.runner` and the runner can import it without a cycle.
+Everything is duck-typed on attribute names (``phase_seconds``,
+``fault_firings``…) so this module never imports :mod:`repro.runner`
+and the runner can import it without a cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .registry import DEFAULT_SECONDS_BUCKETS, MetricsRegistry
 
 __all__ = [
     "ensure_runner_metrics",
     "ensure_store_metrics",
-    "observe_stats",
-    "observe_batch",
+    "runner_counts",
     "observe_execution",
     "observe_store",
     "stats_rows",
     "format_bytes",
 ]
 
-#: Scalar ``RunnerStats`` fields and the counters they feed, in the
-#: order the ``--stats`` table renders them.
+#: Scalar ``RunnerStats`` fields and the counters they are read from.
 _STATS_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
     ("sessions_executed", "repro_runner_sessions_executed_total",
      "Sessions simulated from scratch."),
@@ -81,17 +77,6 @@ _STORE_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
      "Files removed by store gc sweeps."),
 )
 
-#: How a ``RunnerCacheEvent.outcome`` maps onto the cache-lookup
-#: counter's ``(tier, outcome)`` labels.
-_CACHE_TIERS: Dict[str, Tuple[str, str]] = {
-    "memo_hit": ("memo", "hit"),
-    "cache_hit": ("disk", "hit"),
-    "miss": ("disk", "miss"),
-    "corrupt": ("disk", "corrupt"),
-    "alias": ("batch", "alias"),
-}
-
-
 def ensure_runner_metrics(registry: MetricsRegistry) -> None:
     """Declare the full runner metric schema on *registry* (idempotent).
 
@@ -111,10 +96,6 @@ def ensure_runner_metrics(registry: MetricsRegistry) -> None:
         "repro_runner_spec_outcomes_total",
         "Finished specs by report status (ok/retried/degraded/failed).",
         labelnames=("status",),
-    )
-    registry.counter(
-        "repro_runner_pools_created_total",
-        "Process pools created for execution waves.",
     )
     registry.counter(
         "repro_runner_waves_dispatched_total",
@@ -176,44 +157,9 @@ def observe_store(registry: MetricsRegistry, counters, seen: Dict[str, int]) -> 
         seen[attr] = now
 
 
-def observe_stats(registry: MetricsRegistry, stats) -> None:
-    """Fold one batch's ``RunnerStats`` scalars into *registry*.
-
-    Call exactly once per finished batch (the runner does); counters
-    accumulate across batches the way ``RunnerStats.absorb`` does.
-    """
-    ensure_runner_metrics(registry)
-    for attr, name, _ in _STATS_COUNTERS:
-        amount = getattr(stats, attr, 0)
-        if amount:
-            registry.counter(name).inc(amount)
-    peak = getattr(stats, "peak_recorder_bytes", 0)
-    if peak:
-        registry.gauge("repro_runner_peak_recorder_bytes").set_max(peak)
-
-
-def observe_batch(registry: MetricsRegistry, stats, report, telemetry: Iterable) -> None:
-    """Fold a whole finished batch into *registry*.
-
-    Combines :func:`observe_stats` with the two event-shaped sources:
-    cache-tier lookups from ``RunnerCacheEvent`` telemetry and spec
-    outcomes from the batch's :class:`RunReport`.
-    """
-    observe_stats(registry, stats)
-    lookups = registry.counter(
-        "repro_runner_cache_lookups_total", labelnames=("tier", "outcome")
-    )
-    for event in telemetry:
-        if getattr(event, "name", "") != "cache":
-            continue
-        tier_outcome = _CACHE_TIERS.get(event.outcome)
-        if tier_outcome is not None:
-            lookups.inc(tier=tier_outcome[0], outcome=tier_outcome[1])
-    outcomes = registry.counter(
-        "repro_runner_spec_outcomes_total", labelnames=("status",)
-    )
-    for outcome in getattr(report, "outcomes", ()):
-        outcomes.inc(status=outcome.status)
+def runner_counts(registry: MetricsRegistry) -> Dict[str, float]:
+    """The scalar runner counters, keyed by their ``RunnerStats`` field."""
+    return {attr: registry.get(name).value() for attr, name, _ in _STATS_COUNTERS}
 
 
 def observe_execution(registry: MetricsRegistry, execution) -> None:
@@ -221,9 +167,9 @@ def observe_execution(registry: MetricsRegistry, execution) -> None:
 
     Feeds the per-phase and per-session wall histograms and the
     labelled fault-firing counter — the signals that exist per
-    execution rather than per batch.
+    execution rather than per batch.  *registry* must carry the runner
+    schema (:func:`ensure_runner_metrics`; every runner's does).
     """
-    ensure_runner_metrics(registry)
     phases = registry.get("repro_runner_phase_seconds")
     for phase, seconds in sorted(getattr(execution, "phase_seconds", {}).items()):
         phases.observe(seconds, phase=phase)
@@ -244,38 +190,25 @@ def format_bytes(count: int) -> str:
 
 
 def stats_rows(stats) -> List[Tuple[str, str]]:
-    """The stable ``--stats`` table rows, read back through a registry.
+    """The stable ``--stats`` table rows for one ``RunnerStats`` read.
 
     Every row is always present — robustness counters render ``0``
-    instead of disappearing on clean runs — and every value is read
-    from a registry fed by :func:`observe_stats`, so the CLI table is
-    definitionally a view of the same numbers the exposition serves.
+    instead of disappearing on clean runs — and *stats* is itself a
+    read of the runner's registry, so the CLI table shows the same
+    numbers the exposition serves.
     """
-    registry = MetricsRegistry()
-    observe_stats(registry, stats)
-
-    def read(name: str) -> float:
-        return registry.counter(name).value()
-
-    executed = read("repro_runner_sessions_executed_total")
-    ticks = read("repro_runner_ticks_simulated_total")
-    wall = read("repro_runner_wall_seconds_total")
-    rows = [
-        ("sessions executed", str(int(executed))),
-        ("ticks simulated", str(int(ticks))),
-        ("memo hits", str(int(read("repro_runner_memo_hits_total")))),
-        ("disk cache hits", str(int(read("repro_runner_disk_cache_hits_total")))),
-        ("store hits", str(int(read("repro_runner_store_hits_total")))),
-        ("retries", str(int(read("repro_runner_retries_total")))),
-        ("timeouts", str(int(read("repro_runner_timeouts_total")))),
-        ("corrupt cache entries",
-         str(int(read("repro_runner_corrupt_cache_entries_total")))),
-        ("failed specs", str(int(read("repro_runner_failed_specs_total")))),
-        ("wall time (s)", f"{wall:.2f}"),
-        ("ticks/second", f"{ticks / wall:.0f}" if wall > 0 else "0"),
-        ("trace bytes recorded",
-         format_bytes(int(read("repro_runner_trace_bytes_total")))),
-        ("peak recorder memory",
-         format_bytes(int(registry.gauge("repro_runner_peak_recorder_bytes").value()))),
+    return [
+        ("sessions executed", str(stats.sessions_executed)),
+        ("ticks simulated", str(stats.ticks_simulated)),
+        ("memo hits", str(stats.memo_hits)),
+        ("disk cache hits", str(stats.cache_hits)),
+        ("store hits", str(stats.store_hits)),
+        ("retries", str(stats.retries)),
+        ("timeouts", str(stats.timeouts)),
+        ("corrupt cache entries", str(stats.corrupt_cache_entries)),
+        ("failed specs", str(stats.failed_specs)),
+        ("wall time (s)", f"{stats.wall_seconds:.2f}"),
+        ("ticks/second", f"{stats.ticks_per_second:.0f}"),
+        ("trace bytes recorded", format_bytes(stats.trace_bytes)),
+        ("peak recorder memory", format_bytes(stats.peak_recorder_bytes)),
     ]
-    return rows

@@ -18,10 +18,11 @@ comparison, figure driver, and the CLI:
 The failure semantics (what retries, what degrades, what raises) are
 documented in ``docs/FAILURE_MODES.md``.
 
-A runner constructed with ``metrics=`` and/or ``status_dir=`` also
-feeds the ops plane (:mod:`repro.obs.metrics_plane`): a Prometheus-style
-metrics registry, per-phase span profiling, and a live heartbeat file
-``repro status`` tails.  Both default to off, with zero overhead.
+Every runner writes its counts into a Prometheus-style metrics
+registry (:mod:`repro.obs.metrics_plane`), from which its
+``last_stats`` / ``total_stats`` are read.  A runner constructed with
+``status_dir=`` also writes a live heartbeat file ``repro status``
+tails and a ``metrics.json`` snapshot; that output is off by default.
 """
 
 from .spec import (

@@ -60,9 +60,9 @@ from ..obs.events import (
 from ..obs.metrics_plane.bridge import (
     ensure_runner_metrics,
     ensure_store_metrics,
-    observe_batch,
     observe_execution,
     observe_store,
+    runner_counts,
 )
 from ..obs.metrics_plane.heartbeat import (
     HeartbeatWriter,
@@ -186,7 +186,11 @@ def execute_spec(spec: SessionSpec) -> SessionSummary:
 
 @dataclass
 class RunnerStats:
-    """What one :meth:`SessionRunner.run` call actually did.
+    """What a runner did, read from its metrics registry.
+
+    :attr:`SessionRunner.last_stats` is the change one :meth:`run` call
+    made to the registry, :attr:`SessionRunner.total_stats` everything
+    the runner has counted since it was built.
 
     Attributes:
         sessions_executed: Sessions simulated from scratch.
@@ -204,7 +208,7 @@ class RunnerStats:
         corrupt_cache_entries: On-disk entries that failed checksum or
             parsing and were quarantined.
         failed_specs: Specs that never produced a summary.
-        wall_seconds: Wall-clock duration of the whole :meth:`run` call.
+        wall_seconds: Wall-clock duration of the :meth:`run` calls.
         spec_timings: ``(label, wall_seconds)`` pairs in completion
             order: one per spec executed on its own (label falls back to
             ``spec[<index>]`` when the spec carries none), and one per
@@ -215,7 +219,9 @@ class RunnerStats:
             sessions (zero on a fully warm cache).
         peak_recorder_bytes: Largest single-spec recorder memory
             footprint seen (preallocated column blocks, not just rows
-            in use).
+            in use): in this batch on ``last_stats``, the registry's
+            ``repro_runner_peak_recorder_bytes`` gauge on
+            ``total_stats``.
     """
 
     sessions_executed: int = 0
@@ -244,22 +250,22 @@ class RunnerStats:
             return 0.0
         return self.ticks_simulated / self.wall_seconds
 
-    def absorb(self, other: "RunnerStats") -> None:
-        """Accumulate *other*'s counters into this instance."""
-        self.sessions_executed += other.sessions_executed
-        self.ticks_simulated += other.ticks_simulated
-        self.memo_hits += other.memo_hits
-        self.cache_hits += other.cache_hits
-        self.store_hits += other.store_hits
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.corrupt_cache_entries += other.corrupt_cache_entries
-        self.failed_specs += other.failed_specs
-        self.wall_seconds += other.wall_seconds
-        self.spec_timings.extend(other.spec_timings)
-        self.trace_bytes += other.trace_bytes
-        self.peak_recorder_bytes = max(
-            self.peak_recorder_bytes, other.peak_recorder_bytes
+    @classmethod
+    def between(
+        cls,
+        before: Dict[str, float],
+        after: Dict[str, float],
+        spec_timings: List[Tuple[str, float]],
+        peak_recorder_bytes: float,
+    ) -> "RunnerStats":
+        """The counts that grew between two :func:`runner_counts` reads."""
+        grown = {name: after[name] - before[name] for name in after}
+        wall_seconds = grown.pop("wall_seconds")
+        return cls(
+            wall_seconds=wall_seconds,
+            spec_timings=list(spec_timings),
+            peak_recorder_bytes=int(peak_recorder_bytes),
+            **{name: int(value) for name, value in grown.items()},
         )
 
 
@@ -307,10 +313,8 @@ class SessionRunner:
             and terminating workers that exceed it.  ``None`` (the
             default) disables the budget.  Rejected together with
             ``batch=True``.
-        last_stats: Accounting of the most recent :meth:`run` call.
-        total_stats: The same counters accumulated over every
-            :meth:`run` call on this runner — what ``--stats`` prints
-            after a multi-batch command.
+        last_stats: What the most recent :meth:`run` call added to
+            :attr:`metrics`.
         last_report: The :class:`~repro.runner.report.RunReport` of the
             most recent batch (also returned by :meth:`run_report`).
         last_events: Traced event streams of the most recent batch,
@@ -324,15 +328,16 @@ class SessionRunner:
             :class:`RunnerCacheEvent` per batch entry,
             :class:`RunnerRetryEvent` per re-scheduled attempt), stamped
             with wall-clock microseconds since the batch started.
-        metrics: The ops-plane metrics registry this runner feeds
-            (counters, gauges, and histograms per the bridge schema).
-            ``None`` — the default — keeps the pre-ops-plane fast path:
-            no registry work anywhere in the batch.
+        metrics: The registry every run count is written to, once, at
+            the line where the runner learns it (counters, gauges and
+            histograms per the bridge schema).  A fresh one by default;
+            a passed-in registry is declared the same schema.
+            :attr:`last_stats`, :attr:`total_stats` and ``--stats`` are
+            reads of it.
         status_dir: Directory for the live heartbeat file and the
             ``metrics.json`` snapshot (``repro status`` / ``repro
-            metrics`` read them).  Setting it auto-creates a
-            :attr:`metrics` registry when none was passed.  ``None``
-            (the default) disables all status output.
+            metrics`` read them).  ``None`` (the default) disables all
+            status output.
         span_profiler: The driver-side span aggregate: per-spec phase
             breakdowns shipped back by workers are merged here (one
             observation per phase per executed spec), plus the driver's
@@ -348,10 +353,9 @@ class SessionRunner:
     retries: int = 0
     retry_backoff_seconds: float = 0.05
     timeout_seconds: Optional[float] = None
-    metrics: Optional[MetricsRegistry] = None
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     status_dir: Optional[Union[str, os.PathLike]] = None
     last_stats: RunnerStats = field(default_factory=RunnerStats)
-    total_stats: RunnerStats = field(default_factory=RunnerStats)
     last_report: Optional[RunReport] = None
     last_events: Dict[int, List[TraceEvent]] = field(default_factory=dict)
     last_event_counts: Dict[int, Dict[str, int]] = field(default_factory=dict)
@@ -390,12 +394,9 @@ class SessionRunner:
                     f"status_dir {self.status_dir!r} exists and is not a directory"
                 )
             os.makedirs(self.status_dir, exist_ok=True)
-            if self.metrics is None:
-                self.metrics = MetricsRegistry()
-        if self.metrics is not None:
-            # Declare the whole schema up front so the exposition always
-            # carries every family, zero-valued ones included.
-            ensure_runner_metrics(self.metrics)
+        # Declare the whole schema up front so the exposition always
+        # carries every family, zero-valued ones included.
+        ensure_runner_metrics(self.metrics)
         self.store = None
         if self.store_dir is not None:
             if self.cache_dir:
@@ -409,13 +410,26 @@ class SessionRunner:
 
             self.store = ExperimentStore(self.store_dir)
             self._cache = self.store.cache
-            if self.metrics is not None:
-                ensure_store_metrics(self.metrics)
+            ensure_store_metrics(self.metrics)
         else:
             self._cache = ResultCache(self.cache_dir) if self.cache_dir else None
         self._memo: Dict[str, SessionSummary] = {}
         self._store_seen: Dict[str, int] = {}
+        self._origin = runner_counts(self.metrics)
+        self._spec_timings: List[Tuple[str, float]] = []
+        self._batch_peak = 0
         self.span_profiler = SpanProfiler(enabled=True)
+
+    @property
+    def total_stats(self) -> RunnerStats:
+        """Everything this runner counted since it was built — what
+        ``--stats`` prints after a multi-batch command."""
+        return RunnerStats.between(
+            self._origin,
+            runner_counts(self.metrics),
+            self._spec_timings,
+            self.metrics.get("repro_runner_peak_recorder_bytes").value(),
+        )
 
     # -- execution -------------------------------------------------------
 
@@ -455,7 +469,9 @@ class SessionRunner:
         the error) for every spec.  Interrupts always propagate.
         """
         batch_began = time.perf_counter()
-        stats = RunnerStats()
+        counts_before = runner_counts(self.metrics)
+        timings_before = len(self._spec_timings)
+        self._batch_peak = 0
         self.last_events = {}
         self.last_event_counts = {}
         self.telemetry = []
@@ -511,8 +527,8 @@ class SessionRunner:
             if self.memoize and key in self._memo:
                 report.summaries[index] = self._memo[key]
                 outcome.source = "memo"
-                stats.memo_hits += 1
-                self._tell(batch_began, RunnerCacheEvent, outcome="memo_hit", key=key, label=spec.label)
+                self._count("repro_runner_memo_hits_total")
+                self._lookup(batch_began, "memo", "hit", "memo_hit", key, spec)
                 if heartbeat is not None:
                     heartbeat.spec(index, outcome.label, "done", source="memo")
                 continue
@@ -524,10 +540,10 @@ class SessionRunner:
                     outcome.source = "cache"
                     if self.memoize:
                         self._memo[key] = lookup.summary
-                    stats.cache_hits += 1
+                    self._count("repro_runner_disk_cache_hits_total")
                     if self.store is not None:
-                        stats.store_hits += 1
-                    self._tell(batch_began, RunnerCacheEvent, outcome="cache_hit", key=key, label=spec.label)
+                        self._count("repro_runner_store_hits_total")
+                    self._lookup(batch_began, "disk", "hit", "cache_hit", key, spec)
                     if heartbeat is not None:
                         heartbeat.spec(index, outcome.label, "done", source="cache")
                     continue
@@ -535,18 +551,18 @@ class SessionRunner:
                     # Quarantine-and-recompute: the entry is preserved
                     # for post-mortem, the spec re-executes from scratch.
                     self._cache.quarantine(key)
-                    stats.corrupt_cache_entries += 1
+                    self._count("repro_runner_corrupt_cache_entries_total")
                     outcome.escalate("degraded")
                     outcome.detail = f"corrupt cache entry quarantined ({lookup.detail})"
-                    self._tell(batch_began, RunnerCacheEvent, outcome="corrupt", key=key, label=spec.label)
+                    self._lookup(batch_began, "disk", "corrupt", "corrupt", key, spec)
                     pending.append(index)
                     continue
             pending.append(index)
-            self._tell(batch_began, RunnerCacheEvent, outcome="miss", key=key, label=spec.label)
+            self._lookup(batch_began, "disk", "miss", "miss", key, spec)
 
         if self.batch and pending:
             pending = self._run_batched(
-                specs, pending, keys, report, stats, batch_began, heartbeat
+                specs, pending, keys, report, batch_began, heartbeat
             )
 
         use_pool = (self.jobs > 1 and len(pending) > 1) or (
@@ -623,9 +639,9 @@ class SessionRunner:
                 if isinstance(execution, SpecExecution):
                     report.summaries[index] = execution.summary
                     self._record_executed(
-                        index, specs[index], execution, keys[index], stats, batch_began
+                        index, specs[index], execution, keys[index], batch_began
                     )
-                    stats.spec_timings.append(
+                    self._spec_timings.append(
                         (report_label(specs[index], index), execution.wall_seconds)
                     )
                     if outcome.attempts > 1:
@@ -635,14 +651,14 @@ class SessionRunner:
                 outcome.error = str(execution) or type(execution).__name__
                 outcome.error_type = type(execution).__name__
                 if isinstance(execution, _SpecTimeout):
-                    stats.timeouts += 1
+                    self._count("repro_runner_timeouts_total")
                 if index in pool_set:
                     remaining_pool.append(index)
                 else:
                     remaining_inline.append(index)
             if (remaining_pool or remaining_inline) and round_number < self.retries:
                 for index in remaining_pool + remaining_inline:
-                    stats.retries += 1
+                    self._count("repro_runner_retries_total")
                     self._tell(
                         batch_began,
                         RunnerRetryEvent,
@@ -666,7 +682,7 @@ class SessionRunner:
             outcome.escalate("failed")
             outcome.source = "none"
             report.errors[index] = last_error[index]
-            stats.failed_specs += 1
+            self._count("repro_runner_failed_specs_total")
 
         for index in aliases:
             outcome = report.outcomes[index]
@@ -675,14 +691,8 @@ class SessionRunner:
             if summary is not None:
                 report.summaries[index] = summary
                 outcome.source = "alias"
-                stats.memo_hits += 1
-                self._tell(
-                    batch_began,
-                    RunnerCacheEvent,
-                    outcome="alias",
-                    key=keys[index],
-                    label=specs[index].label,
-                )
+                self._count("repro_runner_memo_hits_total")
+                self._lookup(batch_began, "batch", "alias", "alias", keys[index], specs[index])
                 if heartbeat is not None:
                     heartbeat.spec(index, outcome.label, "done", source="alias")
             else:
@@ -696,27 +706,32 @@ class SessionRunner:
                     source_index,
                     RunnerError(f"aliased spec {origin.label} failed"),
                 )
-                stats.failed_specs += 1
+                self._count("repro_runner_failed_specs_total")
                 if heartbeat is not None:
                     heartbeat.spec(
                         index, outcome.label, "error", error=outcome.error
                     )
 
-        stats.wall_seconds = time.perf_counter() - batch_began
-        self.last_stats = stats
-        self.total_stats.absorb(stats)
+        wall_seconds = time.perf_counter() - batch_began
+        self._count("repro_runner_wall_seconds_total", wall_seconds)
+        for outcome in report.outcomes:
+            self._count("repro_runner_spec_outcomes_total", status=outcome.status)
+        self.last_stats = RunnerStats.between(
+            counts_before,
+            runner_counts(self.metrics),
+            self._spec_timings[timings_before:],
+            self._batch_peak,
+        )
         self.last_report = report
         if heartbeat is not None:
             heartbeat.finish(
                 {status: len(report.by_status(status)) for status in STATUS_ORDER},
-                stats.wall_seconds,
+                wall_seconds,
             )
-        if self.metrics is not None:
-            observe_batch(self.metrics, stats, report, self.telemetry)
-            if self.store is not None:
-                observe_store(self.metrics, self.store.counters, self._store_seen)
-            if self.status_dir is not None:
-                self._dump_metrics()
+        if self.store is not None:
+            observe_store(self.metrics, self.store.counters, self._store_seen)
+        if self.status_dir is not None:
+            self._dump_metrics()
         return report
 
     # -- attempt machinery ----------------------------------------------
@@ -782,9 +797,7 @@ class SessionRunner:
         """
         outcomes: Dict[int, Union[SpecExecution, Exception]] = {}
         pool = ProcessPoolExecutor(max_workers=len(wave))
-        if self.metrics is not None:
-            self.metrics.get("repro_runner_pools_created_total").inc()
-            self.metrics.get("repro_runner_waves_dispatched_total").inc()
+        self._count("repro_runner_waves_dispatched_total")
         timed_out = False
         try:
             futures = {pool.submit(execute_spec_full, specs[i]): i for i in wave}
@@ -807,11 +820,10 @@ class SessionRunner:
             if timed_out:
                 # Hung workers hold the GIL-free sleep forever; reclaim
                 # them by force, then classify the unfinished specs.
-                terminated = self._terminate_workers(pool)
-                if self.metrics is not None:
-                    self.metrics.get("repro_runner_workers_terminated_total").inc(
-                        terminated
-                    )
+                self._count(
+                    "repro_runner_workers_terminated_total",
+                    self._terminate_workers(pool),
+                )
                 for future in not_done:
                     index = futures[future]
                     label = report_label(specs[index], index)
@@ -841,13 +853,24 @@ class SessionRunner:
         ts_us = int((time.perf_counter() - batch_began) * 1_000_000)
         self.telemetry.append(event_cls(ts_us=ts_us, **fields))
 
+    def _count(self, name: str, amount: float = 1, **labels: str) -> None:
+        """Add *amount* to the registry counter called *name*."""
+        self.metrics.get(name).inc(amount, **labels)
+
+    def _lookup(
+        self, batch_began: float, tier: str, result: str, event: str, key: str,
+        spec: SessionSpec,
+    ) -> None:
+        """Count one cache-tier lookup and emit its ``RunnerCacheEvent``."""
+        self._count("repro_runner_cache_lookups_total", tier=tier, outcome=result)
+        self._tell(batch_began, RunnerCacheEvent, outcome=event, key=key, label=spec.label)
+
     def _run_batched(
         self,
         specs: Sequence[SessionSpec],
         pending: List[int],
         keys: List[str],
         report: RunReport,
-        stats: RunnerStats,
         batch_began: float,
         heartbeat,
     ) -> List[int]:
@@ -918,7 +941,7 @@ class SessionRunner:
                 outcome.detail = f"batched({len(members)})"
                 report.summaries[index] = execution.summary
                 self._record_executed(
-                    index, specs[index], execution, keys[index], stats, batch_began
+                    index, specs[index], execution, keys[index], batch_began
                 )
                 if heartbeat is not None:
                     heartbeat.spec(
@@ -932,7 +955,7 @@ class SessionRunner:
             # One timing per group: its members ran together.
             first = members[0]
             group_label = f"batched({len(members)}):{report_label(specs[first], first)}"
-            stats.spec_timings.append((group_label, wall))
+            self._spec_timings.append((group_label, wall))
             handled.update(members)
             if heartbeat is not None:
                 heartbeat.progress()
@@ -946,15 +969,15 @@ class SessionRunner:
         spec: SessionSpec,
         execution: SpecExecution,
         key: str,
-        stats: RunnerStats,
         batch_began: float,
     ) -> None:
-        stats.sessions_executed += 1
-        stats.ticks_simulated += spec.config.total_ticks
-        stats.trace_bytes += execution.trace_bytes
-        stats.peak_recorder_bytes = max(
-            stats.peak_recorder_bytes, execution.peak_recorder_bytes
+        self._count("repro_runner_sessions_executed_total")
+        self._count("repro_runner_ticks_simulated_total", spec.config.total_ticks)
+        self._count("repro_runner_trace_bytes_total", execution.trace_bytes)
+        self.metrics.get("repro_runner_peak_recorder_bytes").set_max(
+            execution.peak_recorder_bytes
         )
+        self._batch_peak = max(self._batch_peak, execution.peak_recorder_bytes)
         label = report_label(spec, index)
         self._tell(
             batch_began,
@@ -965,8 +988,7 @@ class SessionRunner:
             worker_pid=execution.worker_pid,
         )
         self.span_profiler.merge(execution.phase_seconds)
-        if self.metrics is not None:
-            observe_execution(self.metrics, execution)
+        observe_execution(self.metrics, execution)
         if spec.trace is not None:
             self.last_events[index] = execution.events
             self.last_event_counts[index] = execution.event_counts
@@ -987,7 +1009,7 @@ class SessionRunner:
         Write-then-rename, so a concurrent ``repro metrics`` never reads
         a half-written snapshot.
         """
-        assert self.metrics is not None and self.status_dir is not None
+        assert self.status_dir is not None
         target = metrics_path(self.status_dir)
         scratch = target.with_name(target.name + ".tmp")
         scratch.write_text(self.metrics.to_json(), encoding="utf-8")
