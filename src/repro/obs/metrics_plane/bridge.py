@@ -77,13 +77,14 @@ _STORE_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
      "Files removed by store gc sweeps."),
 )
 
+
 def ensure_runner_metrics(registry: MetricsRegistry) -> None:
     """Declare the full runner metric schema on *registry* (idempotent).
 
-    Registration is get-or-create, so calling this before every batch
-    simply guarantees the exposition always carries the whole schema —
-    zero-valued families included — rather than only what happened to
-    fire.
+    Registration is get-or-create, so a runner calls this once on its
+    registry (fresh or passed in) and the exposition always carries
+    the whole schema — zero-valued families included — rather than
+    only what happened to fire.
     """
     for _, name, help_text in _STATS_COUNTERS:
         registry.counter(name, help_text)

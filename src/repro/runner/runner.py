@@ -422,8 +422,12 @@ class SessionRunner:
 
     @property
     def total_stats(self) -> RunnerStats:
-        """Everything this runner counted since it was built — what
-        ``--stats`` prints after a multi-batch command."""
+        """Everything this runner counted since it was built.
+
+        What ``--stats`` prints after a multi-batch command.  A registry
+        shared between runners also counts the other runners' batches
+        from this runner's construction on.
+        """
         return RunnerStats.between(
             self._origin,
             runner_counts(self.metrics),
